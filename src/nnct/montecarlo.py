@@ -19,7 +19,7 @@ from scipy import special
 
 from .contingency import ContingencyTable, covariance_model, tabulate_pairs
 from .errors import InvalidInputError
-from .geometry import LabeledPointSet, _nn_indices
+from .geometry import LabeledPointSet, _nn_indices, digraph_q_r
 from .numerics import DEFAULT_REL_CUTOFF
 from .segregation import (
     OVERALL_FLAVORS,
@@ -280,10 +280,9 @@ def _qr_chunk(n: int, seed: int, lo: int, hi: int):
     rs = np.empty(hi - lo)
     for t, rep in enumerate(range(lo, hi)):
         rng = np.random.default_rng([seed, _STREAM_QR, n, rep])
-        nn = _nn_indices(rng.random((n, 2)))
-        deg = np.bincount(nn, minlength=n)
-        qs[t] = np.sum(deg * (deg - 1)) / n
-        rs[t] = np.count_nonzero(nn[nn] == np.arange(n)) / n
+        _, q, r = digraph_q_r(_nn_indices(rng.random((n, 2))))
+        qs[t] = q / n
+        rs[t] = r / n
     return qs, rs
 
 
@@ -329,11 +328,9 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
         rng = np.random.default_rng([*entropy, rep])
         pts = generate(spec, rng)
         nn = _nn_indices(pts.points)
-        deg = np.bincount(nn, minlength=n)
-        q_obs = float(np.sum(deg * (deg - 1)))
-        r_obs = float(np.count_nonzero(nn[nn] == np.arange(n)))
+        _, q_obs, r_obs = digraph_q_r(nn)
         table = ContingencyTable(tabulate_pairs(pts.labels, nn))
-        for m, (q, r) in enumerate(((q_obs, r_obs), (q_hat, r_hat))):
+        for m, (q, r) in enumerate(((float(q_obs), float(r_obs)), (q_hat, r_hat))):
             model = covariance_model(n1, n2, n, q, r)
             pvals = (
                 dixon_overall(table, model).p_value,

@@ -240,7 +240,8 @@ def test_criterion_8_structural_identities():
         nns = compute_nn(pts)
         k = np.arange(2, 7)
         assert nns.Q % 2 == 0
-        assert nns.Q == 2 * int(np.sum(k * (k - 1) // 2 * nns.q_counts))
+        q_counts = np.bincount(nns.indegree, minlength=7)[2:]
+        assert nns.Q == 2 * int(np.sum(k * (k - 1) // 2 * q_counts))
         assert nns.R >= 2 and nns.R % 2 == 0
         assert np.all(nns.indegree <= 6)
         table = build_nnct(pts, nns)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnct import (
     InternalConsistencyError,
@@ -40,7 +42,7 @@ class TestHandEnumerated:
         nns = compute_nn(pts([(0, 0), (1, 0), (0, 1), (1, 1)]), method=method)
         assert nns.nn_index.tolist() == [1, 0, 0, 1]
         assert nns.R == 2
-        assert nns.q_counts[0] == 2  # two points serve as NN twice
+        assert np.bincount(nns.indegree)[2] == 2  # two points serve as NN twice
         assert nns.Q == 4
 
     def test_duplicate_points_are_valid_neighbors(self, method):
@@ -108,7 +110,8 @@ class TestRandomInvariants:
             pair_count = int(np.sum(nns.nn_index[:, None] == nns.nn_index[None, :])) - n
             assert nns.Q == pair_count
             k = np.arange(2, 7)
-            assert nns.Q == 2 * int(np.sum(k * (k - 1) // 2 * nns.q_counts))
+            q_counts = np.bincount(nns.indegree, minlength=7)[2:]
+            assert nns.Q == 2 * int(np.sum(k * (k - 1) // 2 * q_counts))
             assert nns.Q % 2 == 0
             # R: ordered mutual pairs, even, at least one mutual pair
             mutual = int(np.sum(nns.nn_index[nns.nn_index] == np.arange(n)))
@@ -127,3 +130,101 @@ class TestRandomInvariants:
         g = np.arange(5)
         coords = np.array([(x, y) for x in g for y in g], dtype=float)
         assert np.array_equal(_nn_brute(coords), _nn_kdtree(coords))
+
+
+# ---------------------------------------------------------------------------
+# tie repair: the kd-tree path must reproduce the brute-force lowest-index rule
+
+small_int = st.integers(-6, 6)
+
+
+@st.composite
+def integer_grid(draw):
+    """Points on a small integer lattice: many equidistant ties, some repeats."""
+    xy = draw(st.lists(st.tuples(small_int, small_int), min_size=2, max_size=120))
+    return np.array(xy, dtype=float)
+
+
+@st.composite
+def collinear(draw):
+    """Integer steps along one line, of any slope; repeats allowed."""
+    t = draw(st.lists(small_int, min_size=2, max_size=120))
+    dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 2.0), (-3.0, 1.0)]))
+    t = np.array(t, dtype=float)
+    return np.column_stack([dx * t, 0.5 + dy * t])
+
+
+@st.composite
+def stacked_duplicates(draw):
+    """A few sites, each holding several points, in random file order."""
+    sites = draw(st.lists(st.tuples(small_int, small_int), min_size=1, max_size=5))
+    which = draw(st.lists(st.integers(0, len(sites) - 1), min_size=2, max_size=120))
+    return np.array(sites, dtype=float)[which] * 0.25
+
+
+@st.composite
+def cloud_beside_cluster(draw):
+    """A CSR cloud plus one large duplicate cluster, shuffled together."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_cloud = draw(st.integers(0, 150))
+    n_cluster = draw(st.integers(2, 150))
+    rng = np.random.default_rng(seed)
+    coords = np.vstack([rng.random((n_cloud, 2)), np.full((n_cluster, 2), 0.5)])
+    return coords[rng.permutation(len(coords))]
+
+
+class TestTieRepair:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(integer_grid(), collinear(), stacked_duplicates(),
+                     cloud_beside_cluster()))
+    def test_kdtree_matches_brute(self, coords):
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    def test_kdtree_matches_brute_when_distances_underflow(self):
+        # distinct sites 1e-200 apart sit at squared distance 0, like duplicates
+        base = np.array([[0, 0], [0, 0], [1, 0], [0, 1], [2, 2], [1, 0], [5, 5]])
+        coords = base * 1e-200
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    def test_ring_of_tied_sites_beyond_first_round(self):
+        # the 12 lattice points at distance 5 from the centre tie for its NN,
+        # more than the repair's first candidate count holds
+        ring = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            coords = np.array(ring + [(0, 0)] * int(rng.integers(1, 3)), dtype=float)
+            coords = coords[rng.permutation(len(coords))]
+            assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    def test_shuffled_grid_takes_lowest_index_lattice_neighbour(self):
+        side = 200
+        rng = np.random.default_rng(11)
+        cell = rng.permutation(side * side)  # point p sits at lattice cell cell[p]
+        coords = np.column_stack([cell // side, cell % side]).astype(float)
+        index_of = np.empty_like(cell)
+        index_of[cell] = np.arange(cell.size)
+        i, j = cell // side, cell % side
+        expected = np.full(cell.size, cell.size)
+        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            ii, jj = i + di, j + dj
+            inside = (ii >= 0) & (ii < side) & (jj >= 0) & (jj < side)
+            neighbour = index_of[np.clip(ii, 0, side - 1) * side + np.clip(jj, 0, side - 1)]
+            expected = np.minimum(expected, np.where(inside, neighbour, cell.size))
+        assert np.array_equal(compute_nn(pts(coords)).nn_index, expected)
+
+    def test_points_on_two_sites(self):
+        rng = np.random.default_rng(12)
+        site = rng.integers(0, 2, 3000)
+        coords = np.array([[0.25, 0.25], [0.75, 0.75]])[site]
+        expected = np.empty(site.size, dtype=np.intp)
+        for s in (0, 1):
+            members = np.flatnonzero(site == s)
+            expected[members] = members[0]
+            expected[members[0]] = members[1]
+        nns = compute_nn(pts(coords))
+        assert np.array_equal(nns.nn_index, expected)
+        assert nns.R == 4
+
+    def test_duplicate_flag(self):
+        assert not pts([(0, 0), (1, 0), (0, 1)]).has_duplicate_points()
+        assert pts([(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)]).has_duplicate_points()
