@@ -15,11 +15,9 @@ from .contingency import (
     CELL_ORDER,
     ContingencyTable,
     CovarianceModel,
-    PairProbabilities,
     build_nnct,
     covariance_model,
     expected_counts,
-    pair_probabilities,
 )
 from .dataio import ingest
 from .errors import (
@@ -29,7 +27,7 @@ from .errors import (
     NnctError,
     ParseError,
 )
-from .geometry import LabeledPointSet, NNStructure, compute_nn, nn_pair_list
+from .geometry import LabeledPointSet, NNStructure, compute_nn
 from .montecarlo import (
     CSR_Q_PER_POINT,
     CSR_R_PER_POINT,
@@ -39,6 +37,7 @@ from .montecarlo import (
     SimulationConfig,
     SizePowerReport,
     SizePowerRow,
+    adjusted_qr,
     empirical_power,
     empirical_size,
     estimate_qr,
@@ -80,7 +79,6 @@ __all__ = [
     "NnctError",
     "OVERALL_FLAVORS",
     "PAPER_COMBOS",
-    "PairProbabilities",
     "ParseError",
     "PatternSpec",
     "QREstimate",
@@ -89,6 +87,7 @@ __all__ = [
     "SizePowerReport",
     "SizePowerRow",
     "TestResult",
+    "adjusted_qr",
     "build_nnct",
     "cell_specific_test",
     "chi2_sf",
@@ -102,9 +101,7 @@ __all__ = [
     "generalized_inverse",
     "generate",
     "ingest",
-    "nn_pair_list",
     "normal_sf",
-    "pair_probabilities",
     "permutation_pvalue",
     "run_battery",
     "run_battery_from_table",

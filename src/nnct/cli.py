@@ -24,10 +24,9 @@ from .errors import (
 )
 from .geometry import compute_nn
 from .montecarlo import (
-    CSR_Q_PER_POINT,
-    CSR_R_PER_POINT,
     PAPER_COMBOS,
     SimulationConfig,
+    adjusted_qr,
     empirical_power,
     empirical_size,
     estimate_qr,
@@ -207,12 +206,9 @@ def _cmd_analyze(args, cfg) -> int:
     if mode == "observed":
         qr = QRMode.observed()
         q_used, r_used = float(nns.Q), float(nns.R)
-    elif mode == "adjusted":
-        est = estimate_qr(pts.n, nmc, seed)
-        qr = QRMode.adjusted(est.q_over_n * pts.n, est.r_over_n * pts.n)
-        q_used, r_used = qr.q_hat, qr.r_hat
-    else:  # adjusted-asymptotic
-        qr = QRMode.adjusted(CSR_Q_PER_POINT * pts.n, CSR_R_PER_POINT * pts.n)
+    else:
+        source = "asymptotic" if mode == "adjusted-asymptotic" else "estimate"
+        qr = QRMode.adjusted(*adjusted_qr(pts.n, source, nmc, seed))
         q_used, r_used = qr.q_hat, qr.r_hat
 
     results = run_battery_from_table(table, nns.Q, nns.R, qr, sided, rel_cutoff)

@@ -107,28 +107,6 @@ def expected_counts(n1: int, n2: int, n: int) -> np.ndarray:
     return np.array([[e11, n1 - e11], [n2 - e22, e22]])
 
 
-@dataclass(frozen=True)
-class PairProbabilities:
-    """Probabilities that 2, 3, or 4 distinct points drawn without
-    replacement carry the indicated class labels.
-
-    A probability whose numerator would need more members than a class has
-    is exactly zero.
-    """
-
-    p11: float
-    p12: float
-    p21: float
-    p22: float
-    p111: float
-    p112: float
-    p221: float
-    p222: float
-    p1111: float
-    p1122: float
-    p2222: float
-
-
 def _falling(n: float, k: int) -> float:
     out = 1.0
     for i in range(k):
@@ -137,30 +115,15 @@ def _falling(n: float, k: int) -> float:
 
 
 def _multiset_prob(n1: int, n2: int, n: int, c1: int, c2: int) -> float:
-    """P(c1 + c2 distinct points have c1 class-1 and c2 class-2 labels)."""
+    """P(c1 + c2 distinct points have c1 class-1 and c2 class-2 labels).
+
+    Exactly zero when a class has fewer than the required members, or the
+    set fewer than c1 + c2 points.
+    """
     den = _falling(n, c1 + c2)
     if den <= 0.0:
         return 0.0
     return _falling(n1, c1) * _falling(n2, c2) / den
-
-
-def pair_probabilities(n1: int, n2: int, n: int) -> PairProbabilities:
-    """All pair, triplet, and quartet class probabilities for given margins."""
-    _check_margins(n1, n2, n, minimum=2)
-    p = lambda c1, c2: _multiset_prob(n1, n2, n, c1, c2)
-    return PairProbabilities(
-        p11=p(2, 0),
-        p12=p(1, 1),
-        p21=p(1, 1),
-        p22=p(0, 2),
-        p111=p(3, 0),
-        p112=p(2, 1),
-        p221=p(1, 2),
-        p222=p(0, 3),
-        p1111=p(4, 0),
-        p1122=p(2, 2),
-        p2222=p(0, 4),
-    )
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 
 # Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17):
 # brute force is faster up to n = 60 (122 vs 132 us) and the kd-tree from
@@ -137,6 +136,8 @@ def _nearest_other_site(site_xy: np.ndarray, lowest: np.ndarray,
     no tied site can have been cut off.  Distances are recomputed as
     ``dx*dx + dy*dy``, with the rounding of ``_nn_brute``.
     """
+    from scipy.spatial import cKDTree
+
     ns = site_xy.shape[0]
     d2min = np.full(query.shape[0], np.inf)
     winner = np.full(query.shape[0], _NO_SITE, dtype=np.intp)
@@ -193,7 +194,13 @@ def _repair_ties(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
-    """kd-tree nearest neighbor indices with exact lowest-index tie repair."""
+    """kd-tree nearest neighbor indices with exact lowest-index tie repair.
+
+    scipy is imported here, on the kd-tree path only, so that importing the
+    package and searching small sets by brute force never load it.
+    """
+    from scipy.spatial import cKDTree
+
     n = coords.shape[0]
     tree = cKDTree(coords)
     k = min(n, 3)
@@ -257,13 +264,3 @@ def compute_nn(pts: LabeledPointSet, method: str = "auto") -> NNStructure:
         raise InvalidInputError("need at least 2 points")
     return structure_from_nn_index(_nn_indices(pts.points, method))
 
-
-def nn_pair_list(pts: LabeledPointSet, nns: NNStructure) -> list[tuple[int, int]]:
-    """The n (base label, NN label) pairs, in point order."""
-    if nns.nn_index.shape[0] != pts.n:
-        raise InternalConsistencyError(
-            f"NN structure holds {nns.nn_index.shape[0]} points, point set {pts.n}"
-        )
-    base = pts.labels
-    neigh = pts.labels[nns.nn_index]
-    return [(int(b), int(v)) for b, v in zip(base, neigh)]

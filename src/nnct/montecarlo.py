@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .contingency import ContingencyTable, covariance_model, tabulate_pairs
 from .errors import InvalidInputError
@@ -23,7 +22,6 @@ from .geometry import LabeledPointSet, _nn_indices, digraph_q_r
 from .numerics import DEFAULT_REL_CUTOFF
 from .segregation import (
     OVERALL_FLAVORS,
-    QRMode,
     dixon_overall,
     version_I,
     version_II,
@@ -60,13 +58,8 @@ class PatternSpec:
     n2: int = 0
     s: float | None = None
     r: float | None = None
-    base: LabeledPointSet | None = None
 
     def __post_init__(self):
-        if self.kind == "rl_permutation":
-            if self.base is None:
-                raise InvalidInputError("rl_permutation needs a base point set")
-            return
         if self.kind not in ("csr", "segregation", "association"):
             raise InvalidInputError(f"unknown pattern kind {self.kind!r}")
         if self.n1 < 1 or self.n2 < 1:
@@ -88,11 +81,6 @@ class PatternSpec:
     def association(cls, n1: int, n2: int, r: float) -> "PatternSpec":
         return cls(kind="association", n1=n1, n2=n2, r=float(r))
 
-    @classmethod
-    def rl_permutation(cls, base: LabeledPointSet) -> "PatternSpec":
-        n1, n2 = base.class_sizes
-        return cls(kind="rl_permutation", n1=n1, n2=n2, base=base)
-
 
 def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
     """Draw one realization of a pattern.
@@ -103,10 +91,7 @@ def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
     class-1 point plus a polar offset with radius ~ U(0, r) and angle
     ~ U(0, 2 pi).  Offsets may land outside the unit square; they are kept
     as generated.
-    rl_permutation: the base coordinates with labels uniformly permuted.
     """
-    if spec.kind == "rl_permutation":
-        return LabeledPointSet(spec.base.points, rng.permutation(spec.base.labels))
     n1, n2 = spec.n1, spec.n2
     labels = np.repeat([1, 2], [n1, n2])
     if spec.kind == "csr":
@@ -129,17 +114,15 @@ def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
 class SimulationConfig:
     """Knobs shared by the size and power studies.
 
-    ``qr_mode`` controls the adjusted columns of the report: observed (the
-    default) lets the engine estimate per-n expectations of Q and R itself;
-    an explicit adjusted mode pins them (sensible only when every combo has
-    the same total n).  ``adjusted_source`` picks between per-n Monte Carlo
-    estimation ("estimate") and the large-n ratios ("asymptotic").
+    Every study reports observed and adjusted columns.  The adjusted Q and
+    R of each total n come from ``adjusted_qr`` with ``adjusted_source``:
+    per-n Monte Carlo estimation ("estimate", ``qr_estimate_nmc``
+    replications under ``seed``) or the large-n ratios ("asymptotic").
     """
 
     n_mc: int
     seed: int
     alpha: float = 0.05
-    qr_mode: QRMode = field(default_factory=QRMode.observed)
     parallelism: int = 1
     adjusted_source: str = "estimate"
     qr_estimate_nmc: int = 10000
@@ -238,7 +221,7 @@ def size_band(alpha: float, n_mc: int) -> tuple[float, float]:
         raise InvalidInputError(f"alpha must be in [0, 1), got {alpha}")
     if n_mc < 1:
         raise InvalidInputError(f"n_mc must be >= 1, got {n_mc}")
-    z95 = float(special.ndtri(0.95))
+    z95 = 1.6448536269514722  # the standard normal 0.95 quantile
     half = z95 * np.sqrt(alpha * (1.0 - alpha) / n_mc)
     return alpha - half, alpha + half
 
@@ -344,13 +327,17 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
     return rej
 
 
-def _adjusted_qr(n: int, config: SimulationConfig) -> tuple[float, float]:
-    if config.qr_mode.kind == "adjusted":
-        return config.qr_mode.q_hat, config.qr_mode.r_hat
-    if config.adjusted_source == "asymptotic":
+def adjusted_qr(n: int, source: str, n_mc: int, seed: int,
+                workers: int = 1) -> tuple[float, float]:
+    """The Q and R that the QR-adjusted tests substitute for a set of n
+    points: CSR expectations of Q/n and R/n times n, estimated by
+    ``estimate_qr(n, n_mc, seed, workers)`` ("estimate") or the large-n
+    ratios ``CSR_Q_PER_POINT`` and ``CSR_R_PER_POINT`` ("asymptotic")."""
+    if source == "asymptotic":
         return CSR_Q_PER_POINT * n, CSR_R_PER_POINT * n
-    est = estimate_qr(n, config.qr_estimate_nmc, config.seed,
-                      workers=config.parallelism)
+    if source != "estimate":
+        raise InvalidInputError(f"unknown adjusted_source {source!r}")
+    est = estimate_qr(n, n_mc, seed, workers=workers)
     return est.q_over_n * n, est.r_over_n * n
 
 
@@ -367,7 +354,9 @@ def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
     for alt_kind, param in kind_params:
         for n1, n2 in combos:
             n = n1 + n2
-            q_hat, r_hat = _adjusted_qr(n, config)
+            q_hat, r_hat = adjusted_qr(n, config.adjusted_source,
+                                       config.qr_estimate_nmc, config.seed,
+                                       config.parallelism)
             worker = partial(
                 _rejection_chunk, alt_kind, param, n1, n2,
                 config.seed, config.alpha, q_hat, r_hat,

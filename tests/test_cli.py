@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from nnct import InvalidInputError, ParseError, ingest
+from nnct import (
+    CSR_Q_PER_POINT,
+    CSR_R_PER_POINT,
+    InvalidInputError,
+    ParseError,
+    estimate_qr,
+    ingest,
+)
 from nnct.cli import main
 
 from conftest import DATA_DIR
@@ -108,6 +115,15 @@ class TestAnalyze:
         assert doc["q_used"] == pytest.approx(63.37, abs=1.0)
         assert doc["r_used"] == pytest.approx(62.17, abs=1.0)
 
+    def test_adjusted_modes_use_the_shared_qr_choice(self, capsys):
+        est = estimate_qr(100, 300, seed=4)
+        doc = self.run_json(capsys, FIXTURE, "--qr-mode", "adjusted",
+                            "--nmc", "300", "--seed", "4")
+        assert (doc["q_used"], doc["r_used"]) == (est.q_over_n * 100, est.r_over_n * 100)
+        doc = self.run_json(capsys, FIXTURE, "--qr-mode", "adjusted-asymptotic")
+        assert (doc["q_used"], doc["r_used"]) == (CSR_Q_PER_POINT * 100,
+                                                  CSR_R_PER_POINT * 100)
+
     def test_round_trip_byte_stable(self, capsys):
         code = main(["analyze", FIXTURE, "--seed", "9"])
         assert code == 0
@@ -183,6 +199,21 @@ class TestSimulate:
         capsys.readouterr()
         doc = json.loads(open(prefix + ".json", encoding="utf-8").read())
         assert doc["rows"][0]["param"] == pytest.approx(1 / 3)
+
+    def test_size_adjusted_q_hat_is_the_estimate(self, tmp_path, capsys):
+        prefix = str(tmp_path / "qr")
+        code = main([
+            "simulate", "size", "--combos", "10,10", "--nmc", "20", "--seed", "5",
+            "--qr-nmc", "200", "--out", prefix,
+        ])
+        assert code == 0
+        capsys.readouterr()
+        doc = json.loads(open(prefix + ".json", encoding="utf-8").read())
+        est = estimate_qr(20, 200, seed=5)
+        adjusted = [row for row in doc["rows"] if row["qr_mode"] == "adjusted"]
+        assert len(adjusted) == 4
+        for row in adjusted:
+            assert (row["q_hat"], row["r_hat"]) == (est.q_over_n * 20, est.r_over_n * 20)
 
     def test_usage_errors(self, capsys):
         assert main(["simulate", "size", "--nmc", "0"]) == 2

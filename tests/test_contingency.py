@@ -1,4 +1,4 @@
-"""NNCT construction, expectations, pair probabilities, covariance model."""
+"""NNCT construction, expectations, label-set probabilities, covariance model."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from nnct import (
     compute_nn,
     covariance_model,
     expected_counts,
-    pair_probabilities,
 )
-from nnct.contingency import tabulate_pairs
+from nnct.contingency import _multiset_prob, tabulate_pairs
 
 from conftest import random_point_set
 
@@ -87,31 +86,37 @@ class TestExpectedCounts:
 
 
 class TestPairProbabilities:
+    """``_multiset_prob(n1, n2, n, c1, c2)``: the probability that c1 + c2
+    distinct points carry c1 class-1 and c2 class-2 labels."""
+
     def test_tiny_margin_value(self):
-        p = pair_probabilities(2, 2, 4)
-        assert p.p11 == pytest.approx(2 * 1 / (4 * 3), rel=1e-15)
+        assert _multiset_prob(2, 2, 4, 2, 0) == pytest.approx(2 * 1 / (4 * 3), rel=1e-15)
 
     def test_pairs_partition(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 300))
             n1 = int(rng.integers(0, n + 1))
-            p = pair_probabilities(n1, n - n1, n)
-            assert p.p11 + p.p12 + p.p21 + p.p22 == pytest.approx(1.0, rel=1e-12)
+            p = lambda c1, c2: _multiset_prob(n1, n - n1, n, c1, c2)
+            # ordered pairs 11, 12, 21, 22
+            total = p(2, 0) + p(1, 1) + p(1, 1) + p(0, 2)
+            assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_forced_zeros(self):
-        assert pair_probabilities(3, 7, 10).p1111 == 0.0
-        assert pair_probabilities(1, 9, 10).p11 == 0.0
-        assert pair_probabilities(1, 9, 10).p112 == 0.0
+        assert _multiset_prob(3, 7, 10, 4, 0) == 0.0
+        assert _multiset_prob(1, 9, 10, 2, 0) == 0.0
+        assert _multiset_prob(1, 9, 10, 2, 1) == 0.0
         # not enough points for a triplet or quartet at all
-        p = pair_probabilities(1, 1, 2)
-        assert p.p111 == p.p222 == p.p1122 == 0.0
+        assert _multiset_prob(1, 1, 2, 3, 0) == 0.0
+        assert _multiset_prob(1, 1, 2, 0, 3) == 0.0
+        assert _multiset_prob(1, 1, 2, 2, 2) == 0.0
 
     def test_closed_forms(self):
         n1, n2, n = 5, 9, 14
-        p = pair_probabilities(n1, n2, n)
-        assert p.p112 == pytest.approx(n1 * (n1 - 1) * n2 / _falling(n, 3), rel=1e-12)
-        assert p.p1122 == pytest.approx(
+        assert _multiset_prob(n1, n2, n, 2, 1) == pytest.approx(
+            n1 * (n1 - 1) * n2 / _falling(n, 3), rel=1e-12
+        )
+        assert _multiset_prob(n1, n2, n, 2, 2) == pytest.approx(
             n1 * (n1 - 1) * n2 * (n2 - 1) / _falling(n, 4), rel=1e-12
         )
 

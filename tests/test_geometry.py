@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnct import (
-    InternalConsistencyError,
-    InvalidInputError,
-    LabeledPointSet,
-    compute_nn,
-    nn_pair_list,
-)
+from nnct import InvalidInputError, LabeledPointSet, compute_nn
+from nnct.contingency import tabulate_pairs
 from nnct.geometry import _nn_brute, _nn_kdtree
 
 from conftest import random_point_set
@@ -76,24 +71,29 @@ class TestValidation:
             compute_nn(pts([(0, 0), (1, 1)]), method="voronoi")
 
 
+def pair_list(p):
+    """The (base label, NN label) pairs, in point order."""
+    return list(zip(p.labels.tolist(), p.labels[compute_nn(p).nn_index].tolist()))
+
+
 class TestPairList:
+    """labels[nn_index] gives the (base, NN) pairs that ``tabulate_pairs``
+    counts."""
+
     def test_three_point_line_labels(self):
         p = pts([(0, 0), (1, 0), (3, 0)], labels=[1, 1, 2])
-        assert nn_pair_list(p, compute_nn(p)) == [(1, 1), (1, 1), (2, 1)]
+        assert pair_list(p) == [(1, 1), (1, 1), (2, 1)]
+        assert tabulate_pairs(p.labels, compute_nn(p).nn_index).tolist() == [[2, 0], [1, 0]]
 
     def test_all_one_class(self):
         p = pts([(0, 0), (1, 0), (3, 0)])
-        assert nn_pair_list(p, compute_nn(p)) == [(1, 1)] * 3
+        assert pair_list(p) == [(1, 1)] * 3
+        assert tabulate_pairs(p.labels, compute_nn(p).nn_index).tolist() == [[3, 0], [0, 0]]
 
     def test_two_points_two_classes(self):
         p = pts([(0, 0), (1, 0)], labels=[1, 2])
-        assert nn_pair_list(p, compute_nn(p)) == [(1, 2), (2, 1)]
-
-    def test_mismatched_structure(self):
-        p3 = pts([(0, 0), (1, 0), (3, 0)])
-        p2 = pts([(0, 0), (1, 0)])
-        with pytest.raises(InternalConsistencyError):
-            nn_pair_list(p2, compute_nn(p3))
+        assert pair_list(p) == [(1, 2), (2, 1)]
+        assert tabulate_pairs(p.labels, compute_nn(p).nn_index).tolist() == [[0, 1], [1, 0]]
 
 
 class TestRandomInvariants:

@@ -10,6 +10,7 @@ from nnct import (
     InvalidInputError,
     PatternSpec,
     SimulationConfig,
+    adjusted_qr,
     build_nnct,
     compute_nn,
     covariance_model,
@@ -21,8 +22,6 @@ from nnct import (
     size_band,
 )
 from nnct.segregation import OVERALL_FLAVORS
-
-from conftest import random_point_set
 
 
 class TestGenerate:
@@ -65,15 +64,6 @@ class TestGenerate:
         x2 = pts.points[pts.labels == 2]
         assert np.any((x2 < 0) | (x2 > 1))
 
-    def test_rl_permutation_preserves_geometry(self):
-        rng = np.random.default_rng(7)
-        base = random_point_set(rng, 40, n1=15)
-        perm = generate(PatternSpec.rl_permutation(base), rng)
-        assert np.array_equal(perm.points, base.points)
-        assert perm.class_sizes == base.class_sizes
-        assert np.array_equal(compute_nn(perm).nn_index, compute_nn(base).nn_index)
-        assert not np.array_equal(perm.labels, base.labels)
-
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             PatternSpec.csr(0, 5)
@@ -81,8 +71,6 @@ class TestGenerate:
             PatternSpec.segregation(5, 5, 1.0)
         with pytest.raises(InvalidInputError):
             PatternSpec.association(5, 5, 0.0)
-        with pytest.raises(InvalidInputError):
-            PatternSpec(kind="rl_permutation")
         with pytest.raises(InvalidInputError):
             PatternSpec(kind="lattice", n1=5, n2=5)
 
@@ -119,6 +107,8 @@ class TestEstimateQR:
             estimate_qr(1, 10, seed=1)
         with pytest.raises(InvalidInputError):
             estimate_qr(10, 0, seed=1)
+        with pytest.raises(InvalidInputError):
+            adjusted_qr(10, "oracle", 10, seed=1)
 
 
 class TestSizeBand:

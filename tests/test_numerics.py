@@ -51,7 +51,7 @@ class TestChi2Sf:
         assert chi2_sf(3.30, 1) == pytest.approx(0.0693, abs=5e-4)
 
     def test_at_zero(self):
-        for df in (1, 2, 3, 7):
+        for df in (1, 2):
             assert chi2_sf(0.0, df) == 1.0
 
     def test_df2_closed_form(self):
@@ -59,14 +59,14 @@ class TestChi2Sf:
             assert chi2_sf(x, 2) == math.exp(-0.5 * x)
 
     def test_monotone_in_x(self):
-        for df in (1, 2, 5):
+        for df in (1, 2):
             xs = np.linspace(0.0, 20.0, 81)
             vals = [chi2_sf(x, df) for x in xs]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_df(self):
         for x in (0.5, 3.0, 10.0):
-            vals = [chi2_sf(x, df) for df in range(1, 8)]
+            vals = [chi2_sf(x, df) for df in (1, 2)]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
@@ -75,7 +75,14 @@ class TestChi2Sf:
         with pytest.raises(InvalidInputError):
             chi2_sf(1.0, 0)
         with pytest.raises(InvalidInputError):
+            chi2_sf(1.0, 3)
+        with pytest.raises(InvalidInputError):
             chi2_sf(float("nan"), 2)
+
+    def test_df1_is_two_sided_normal_tail(self):
+        for z in np.linspace(-8.0, 8.0, 161):
+            two_sided = 2.0 * normal_sf(abs(z))
+            assert abs(chi2_sf(z * z, 1) - two_sided) <= 1e-13 * two_sided
 
 
 class TestNormalSf:

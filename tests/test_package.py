@@ -1,0 +1,35 @@
+"""What importing the package loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import sys
+import numpy as np
+import nnct
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+print(nnct.__file__)
+print(scipy_modules())
+labels = np.repeat([1, 2], 50)
+nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(1).random((60, 2)), labels[20:80]))
+print(scipy_modules())
+nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(2).random((100, 2)), labels))
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_import_loads_no_scipy_until_the_kdtree_runs():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == SRC / "nnct"
+    assert out[1] == "[]"  # after import nnct
+    assert out[2] == "[]"  # after a brute-force search (n = 60)
+    assert out[3] == "True"  # the kd-tree search (n = 100) loaded scipy.spatial

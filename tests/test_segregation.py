@@ -5,6 +5,7 @@ import pytest
 
 from nnct import (
     ContingencyTable,
+    CovarianceModel,
     DegenerateTestError,
     InvalidInputError,
     LabeledPointSet,
@@ -14,6 +15,7 @@ from nnct import (
     compute_nn,
     covariance_model,
     dixon_overall,
+    expected_counts,
     permutation_pvalue,
     run_battery,
     run_battery_from_table,
@@ -126,6 +128,18 @@ class TestDixonOverall:
     def test_degenerate_variance(self):
         table = ContingencyTable.from_counts([[0, 1], [1, 8]])
         m = model_for(table, 4, 2)
+        with pytest.raises(DegenerateTestError):
+            dixon_overall(table, m)
+
+    @pytest.mark.parametrize("cov", [1.0, -1.0])
+    def test_singular_diagonal_block_with_positive_variances(self, cov):
+        # (N11, N22) perfectly (anti-)correlated: the 2x2 block is singular,
+        # which must surface as a degenerate test, not as a LinAlgError
+        sigma = np.eye(4)
+        sigma[0, 3] = sigma[3, 0] = cov
+        m = CovarianceModel(n1=10, n2=10, n=20, q_used=12.0, r_used=12.0,
+                            expected=expected_counts(10, 10, 20), sigma_full=sigma)
+        table = ContingencyTable.from_counts([[6, 4], [3, 7]])
         with pytest.raises(DegenerateTestError):
             dixon_overall(table, m)
 
