@@ -49,7 +49,6 @@ from .report import AnalysisReport
 from .segregation import (
     CELL_FLAVORS,
     OVERALL_FLAVORS,
-    QRMode,
     TestResult,
     cell_specific_test,
     dixon_overall,
@@ -82,7 +81,6 @@ __all__ = [
     "ParseError",
     "PatternSpec",
     "QREstimate",
-    "QRMode",
     "SimulationConfig",
     "SizePowerReport",
     "SizePowerRow",

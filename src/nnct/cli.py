@@ -33,7 +33,7 @@ from .montecarlo import (
 )
 from .numerics import DEFAULT_REL_CUTOFF
 from .report import AnalysisReport
-from .segregation import QRMode, run_battery_from_table
+from .segregation import run_battery_from_table
 from .contingency import build_nnct
 
 EXIT_OK = 0
@@ -204,14 +204,12 @@ def _cmd_analyze(args, cfg) -> int:
     nns = compute_nn(pts)
     table = build_nnct(pts, nns)
     if mode == "observed":
-        qr = QRMode.observed()
         q_used, r_used = float(nns.Q), float(nns.R)
     else:
         source = "asymptotic" if mode == "adjusted-asymptotic" else "estimate"
-        qr = QRMode.adjusted(*adjusted_qr(pts.n, source, nmc, seed))
-        q_used, r_used = qr.q_hat, qr.r_hat
+        q_used, r_used = adjusted_qr(pts.n, source, nmc, seed)
 
-    results = run_battery_from_table(table, nns.Q, nns.R, qr, sided, rel_cutoff)
+    results = run_battery_from_table(table, q_used, r_used, sided, rel_cutoff)
     tests = results[:4] if not with_cells else results
     n1, n2 = pts.class_sizes
     rep = AnalysisReport(

@@ -60,21 +60,24 @@ class ContingencyTable:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def as_vector(self) -> np.ndarray:
-        """Cell counts flattened in CELL_ORDER."""
-        return self.counts.astype(float).ravel()
-
 
 def tabulate_pairs(labels: np.ndarray, nn_index: np.ndarray) -> np.ndarray:
-    """Raw 2x2 table of (base label, NN label) pair counts."""
-    labels = np.asarray(labels)
-    base1 = labels == 1
-    nn1 = labels[nn_index] == 1
-    n11 = int(np.count_nonzero(base1 & nn1))
-    n12 = int(np.count_nonzero(base1 & ~nn1))
-    n21 = int(np.count_nonzero(~base1 & nn1))
-    n22 = int(np.count_nonzero(~base1 & ~nn1))
-    return np.array([[n11, n12], [n21, n22]], dtype=np.int64)
+    """Raw 2x2 table of (base label, NN label) pair counts.
+
+    ``labels`` may also be a ``(..., n)`` stack of labelings of the same
+    digraph (class 1 marked by 1 or True), giving a ``(..., 2, 2)`` stack.
+    """
+    base1 = np.asarray(labels) == 1
+    nn1 = base1[..., nn_index]
+    n1 = base1.sum(axis=-1)
+    n11 = (base1 & nn1).sum(axis=-1)
+    n21 = nn1.sum(axis=-1) - n11
+    table = np.empty(n11.shape + (2, 2), dtype=np.int64)
+    table[..., 0, 0] = n11
+    table[..., 0, 1] = n1 - n11
+    table[..., 1, 0] = n21
+    table[..., 1, 1] = base1.shape[-1] - n1 - n21
+    return table
 
 
 def build_nnct(pts: LabeledPointSet, nns: NNStructure) -> ContingencyTable:
@@ -212,6 +215,23 @@ def _sigma_basis(n1: int, n2: int, n: int):
     return s0, sq, sr
 
 
+def cell_covariance(n1: int, n2: int, n: int, q, r) -> np.ndarray:
+    """The 4x4 cell-count covariance S0 + Q*Sq + R*Sr for given margins, or
+    a ``(B, 4, 4)`` stack of them when ``q`` and ``r`` are length-B arrays.
+
+    Q and R are the shared-NN and reflexive statistics: observed integer
+    values give the conditional model, substituted expectations the
+    adjusted one.
+    """
+    _check_margins(n1, n2, n, minimum=4)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if not (np.all((q >= 0) & (q < np.inf)) and np.all((r >= 0) & (r < np.inf))):
+        raise InvalidInputError(f"Q and R must be finite and >= 0, got ({q}, {r})")
+    s0, sq, sr = _sigma_basis(n1, n2, n)
+    return s0 + q[..., None, None] * sq + r[..., None, None] * sr
+
+
 def covariance_model(n1: int, n2: int, n: int, q: float, r: float) -> CovarianceModel:
     """Expectations and the full 4x4 cell-count covariance for given margins.
 
@@ -220,14 +240,9 @@ def covariance_model(n1: int, n2: int, n: int, q: float, r: float) -> Covariance
     n1, n2, n : int
         Class sizes and total, n = n1 + n2 >= 4.
     q, r : float
-        Shared-NN and reflexive statistics; observed integer values give the
-        conditional model, substituted expectations the adjusted one.
+        Shared-NN and reflexive statistics (see ``cell_covariance``).
     """
-    _check_margins(n1, n2, n, minimum=4)
-    if not (np.isfinite(q) and np.isfinite(r)) or q < 0 or r < 0:
-        raise InvalidInputError(f"Q and R must be finite and >= 0, got ({q}, {r})")
-    s0, sq, sr = _sigma_basis(n1, n2, n)
-    sigma = s0 + q * sq + r * sr
+    sigma = cell_covariance(n1, n2, n, q, r)
     return CovarianceModel(
         n1=n1,
         n2=n2,

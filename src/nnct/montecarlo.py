@@ -16,17 +16,11 @@ from functools import partial
 
 import numpy as np
 
-from .contingency import ContingencyTable, covariance_model, tabulate_pairs
-from .errors import InvalidInputError
+from .contingency import cell_covariance, tabulate_pairs
+from .errors import DegenerateTestError, InvalidInputError
 from .geometry import LabeledPointSet, _nn_indices, digraph_q_r
-from .numerics import DEFAULT_REL_CUTOFF
-from .segregation import (
-    OVERALL_FLAVORS,
-    dixon_overall,
-    version_I,
-    version_II,
-    version_III,
-)
+from .numerics import DEFAULT_REL_CUTOFF, chi2_sf
+from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
 
 # Large-n CSR expectations of Q/n and R/n on the unit square (Monte Carlo
 # estimates; used by the "asymptotic" flavor of the adjustment).
@@ -305,25 +299,30 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
                 else PatternSpec.association(n1, n2, param))
         entropy = (seed, _STREAM_POWER, _ALT_CODES[kind],
                    int(round(param * 1e9)), n1, n2)
-    n = n1 + n2
-    rej = np.zeros((4, 2), dtype=np.int64)
-    for rep in range(lo, hi):
+    reps = hi - lo
+    counts = np.empty((reps, 2, 2), dtype=np.int64)
+    q_obs = np.empty(reps)
+    r_obs = np.empty(reps)
+    for t, rep in enumerate(range(lo, hi)):
         rng = np.random.default_rng([*entropy, rep])
         pts = generate(spec, rng)
         nn = _nn_indices(pts.points)
-        _, q_obs, r_obs = digraph_q_r(nn)
-        table = ContingencyTable(tabulate_pairs(pts.labels, nn))
-        for m, (q, r) in enumerate(((float(q_obs), float(r_obs)), (q_hat, r_hat))):
-            model = covariance_model(n1, n2, n, q, r)
-            pvals = (
-                dixon_overall(table, model).p_value,
-                version_I(table, model, DEFAULT_REL_CUTOFF).p_value,
-                version_II(table, model, DEFAULT_REL_CUTOFF).p_value,
-                version_III(table, model, DEFAULT_REL_CUTOFF).p_value,
-            )
-            for t, pv in enumerate(pvals):
-                if pv <= alpha:
-                    rej[t, m] += 1
+        _, q_obs[t], r_obs[t] = digraph_q_r(nn)
+        counts[t] = tabulate_pairs(pts.labels, nn)
+    # both modes in one stack: observed rows first, then adjusted rows
+    n = n1 + n2
+    sigma = np.concatenate([
+        cell_covariance(n1, n2, n, q_obs, r_obs),
+        np.broadcast_to(cell_covariance(n1, n2, n, q_hat, r_hat), (reps, 4, 4)),
+    ])
+    both = np.concatenate([counts, counts])
+    rej = np.zeros((4, 2), dtype=np.int64)
+    for t, flavor in enumerate(OVERALL_FLAVORS):
+        stats = _statistic_only(flavor, both, sigma, DEFAULT_REL_CUTOFF)
+        if np.isnan(stats).any():
+            raise DegenerateTestError(f"{flavor} is undefined in a replication")
+        rejected = [chi2_sf(x, OVERALL_DF[flavor]) <= alpha for x in stats.tolist()]
+        rej[t] = np.reshape(rejected, (2, reps)).sum(axis=1)
     return rej
 
 
@@ -350,13 +349,16 @@ def _combo_index(n1: int, n2: int) -> int | None:
 
 def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
     band = size_band(config.alpha, config.n_mc)
+    # the adjusted Q and R depend on n only: one estimate per distinct n
+    adjusted = {
+        n: adjusted_qr(n, config.adjusted_source, config.qr_estimate_nmc,
+                       config.seed, config.parallelism)
+        for n in dict.fromkeys(n1 + n2 for n1, n2 in combos)
+    }
     rows = []
     for alt_kind, param in kind_params:
         for n1, n2 in combos:
-            n = n1 + n2
-            q_hat, r_hat = adjusted_qr(n, config.adjusted_source,
-                                       config.qr_estimate_nmc, config.seed,
-                                       config.parallelism)
+            q_hat, r_hat = adjusted[n1 + n2]
             worker = partial(
                 _rejection_chunk, alt_kind, param, n1, n2,
                 config.seed, config.alpha, q_hat, r_hat,

@@ -22,34 +22,36 @@ _SYMMETRY_ATOL = 1e-12
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    """``m`` as a float array of square matrices, each checked for symmetry
+    against its own largest entry."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    if not np.allclose(m, m.T, rtol=0.0, atol=_SYMMETRY_ATOL * scale):
-        raise InvalidInputError("matrix is not symmetric")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"expected square matrices, got shape {m.shape}")
+    if m.size:
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True))
+        if not np.isclose(m, np.swapaxes(m, -1, -2), rtol=0.0,
+                          atol=_SYMMETRY_ATOL * scale).all():
+            raise InvalidInputError("matrix is not symmetric")
     return m
 
 
 def generalized_inverse(m: np.ndarray, rel_cutoff: float = DEFAULT_REL_CUTOFF) -> np.ndarray:
-    """Spectral pseudo-inverse of a symmetric matrix.
+    """Spectral pseudo-inverse of a symmetric matrix, or of each matrix in a
+    ``(..., k, k)`` stack.
 
-    Eigenvalues above ``rel_cutoff`` times the largest eigenvalue are
-    inverted; the rest (including any negative roundoff eigenvalues) are
-    zeroed.  On the retained eigenspace the result satisfies the
-    Moore-Penrose identities ``m g m = m`` and ``g m g = g``.
+    Eigenvalues above ``rel_cutoff`` times the largest eigenvalue of their
+    matrix are inverted; the rest (including any negative roundoff
+    eigenvalues) are zeroed, and a matrix whose largest eigenvalue is not
+    positive maps to zero.  On the retained eigenspace the result satisfies
+    the Moore-Penrose identities ``m g m = m`` and ``g m g = g``.
     """
     m = _check_symmetric(m)
-    m = 0.5 * (m + m.T)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
     w, v = np.linalg.eigh(m)
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros_like(m)
-    keep = w > rel_cutoff * wmax
-    inv_w = np.where(keep, 1.0, np.nan)
-    inv_w[keep] = 1.0 / w[keep]
-    inv_w[~keep] = 0.0
-    return (v * inv_w) @ v.T
+    wmax = w[..., -1:]
+    keep = (w > rel_cutoff * wmax) & (wmax > 0.0)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return (v * inv_w[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -17,9 +17,12 @@ Four overall tests plus four cell-specific Z tests:
 * ``cell_specific_test`` -- Z_ij = (N_ij - E[N_ij]) / sd, standard normal.
 
 Every variance and covariance depends on the digraph statistics Q and R.
-In "observed" mode the computed values condition the tests on the realized
-digraph; in "adjusted" mode estimated CSR expectations are substituted,
-which removes that conditioning.
+The observed values condition the tests on the realized digraph;
+substituting estimated CSR expectations (the QR-adjusted tests) removes that
+conditioning.  Callers pass the Q and R they want.
+
+One kernel, ``_statistic_only``, computes every statistic, for a stack of
+tables at once; the test functions are single-table wrappers around it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .contingency import (
     ContingencyTable,
     CovarianceModel,
     build_nnct,
+    cell_covariance,
     covariance_model,
+    expected_counts,
     tabulate_pairs,
 )
 from .errors import DegenerateTestError, InvalidInputError
@@ -45,37 +50,8 @@ FLAVOR_II = "version_II"
 FLAVOR_III = "version_III"
 OVERALL_FLAVORS = (FLAVOR_DIXON, FLAVOR_I, FLAVOR_II, FLAVOR_III)
 CELL_FLAVORS = ("cell_Z_11", "cell_Z_12", "cell_Z_21", "cell_Z_22")
-
-
-def cell_flavor(i: int, j: int) -> str:
-    return f"cell_Z_{i}{j}"
-
-
-@dataclass(frozen=True)
-class QRMode:
-    """Which Q and R the variance formulas use: the observed digraph values
-    or externally supplied expectations."""
-
-    kind: str
-    q_hat: float | None = None
-    r_hat: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("observed", "adjusted"):
-            raise InvalidInputError(f"unknown QR mode {self.kind!r}")
-        if self.kind == "adjusted":
-            if self.q_hat is None or self.r_hat is None:
-                raise InvalidInputError("adjusted mode needs q_hat and r_hat")
-            if not (self.q_hat > 0 and self.r_hat > 0):
-                raise InvalidInputError("adjusted Q and R must be positive")
-
-    @classmethod
-    def observed(cls) -> "QRMode":
-        return cls(kind="observed")
-
-    @classmethod
-    def adjusted(cls, q_hat: float, r_hat: float) -> "QRMode":
-        return cls(kind="adjusted", q_hat=float(q_hat), r_hat=float(r_hat))
+# chi-square degrees of freedom of each overall test
+OVERALL_DF = {FLAVOR_DIXON: 2, FLAVOR_I: 1, FLAVOR_II: 2, FLAVOR_III: 1}
 
 
 @dataclass(frozen=True)
@@ -84,21 +60,84 @@ class TestResult:
     statistic: float
     df: int | None
     p_value: float
-    qr_mode: str
-    q_used: float
-    r_used: float
 
 
-def _result(flavor, statistic, df, p_value, model, qr_kind):
-    return TestResult(
-        flavor=flavor,
-        statistic=float(statistic),
-        df=df,
-        p_value=float(p_value),
-        qr_mode=qr_kind,
-        q_used=model.q_used,
-        r_used=model.r_used,
-    )
+def _quadratic_form(vec, m, rel_cutoff):
+    """vec' m^- vec for each row of a (B, 4) stack against (B, 4, 4)
+    matrices.  Batched matmul rather than an elementwise sum: each value
+    then rounds exactly like ``vec @ g @ vec`` on one table."""
+    return (vec[:, None, :] @ generalized_inverse(m, rel_cutoff) @ vec[:, :, None])[:, 0, 0]
+
+
+def _statistic_only(flavor, counts, sigma, rel_cutoff):
+    """Statistic of test ``flavor`` for each table of a ``(B, 2, 2)`` stack
+    that shares its row sums, against the 4x4 cell-count covariance
+    ``sigma`` (one matrix for all tables, or a ``(B, 4, 4)`` stack).
+
+    Returns a float array of length B; NaN marks a table whose test is
+    undefined (a zero variance, a singular Dixon block, a zero row or
+    column sum where the test divides by it, or a non-finite quadratic
+    form).  Each value depends only on its own table and covariance.  Cell
+    flavors give the signed Z.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = counts.sum(axis=2)
+    if (rows != rows[0]).any():
+        raise InvalidInputError("the tables of a stack must share their row sums")
+    n1, n2 = int(rows[0, 0]), int(rows[0, 1])
+    n = n1 + n2
+    b = counts.shape[0]
+    sigma = np.broadcast_to(sigma, (b, 4, 4))
+    cells = counts.reshape(b, 4).astype(float)
+    c1, c2 = counts[:, 0, 0] + counts[:, 1, 0], counts[:, 0, 1] + counts[:, 1, 1]
+    cols = np.stack([c1, c2, c1, c2], axis=1).astype(float)
+    bad = np.zeros(b, dtype=bool)  # undefined although the value may be finite
+
+    if flavor == FLAVOR_DIXON:
+        expected = expected_counts(n1, n2, n)
+        y = np.stack([cells[:, 0] - expected[0, 0], cells[:, 3] - expected[1, 1]], axis=1)
+        block = sigma[:, [[0, 0], [3, 3]], [[0, 3], [0, 3]]]
+        v11, v22, c = block[:, 0, 0], block[:, 1, 1], block[:, 0, 1]
+        # positive definite: both variances and the determinant positive
+        bad = ~((v11 > 0.0) & (v22 > 0.0) & (v11 * v22 - c * c > 0.0))
+        block = np.where(bad[:, None, None], np.eye(2), block)
+        stat = (y[:, None, :] @ np.linalg.solve(block, y[:, :, None]))[:, 0, 0]
+    elif flavor in (FLAVOR_I, FLAVOR_II):
+        # residuals against n_i C_j / n (I) or n_i n_j / n (II), scaled by
+        # the square root of that expectation, with sigma scaled alike
+        row_vec = np.array([n1, n1, n2, n2], dtype=float)
+        other = cols if flavor == FLAVOR_I else np.array([n1, n2, n1, n2], dtype=float)
+        bad = np.full(b, n1 == 0 or n2 == 0)
+        if flavor == FLAVOR_I:
+            bad |= (c1 == 0) | (c2 == 0)
+        prod = np.where(bad[:, None], 1.0, row_vec * other)
+        vec = (cells - prod / n) / np.sqrt(prod / n)
+        scale = np.sqrt(prod)
+        scaled = n * sigma / (scale[:, :, None] * scale[:, None, :])
+        stat = _quadratic_form(vec, scaled, rel_cutoff)
+    elif flavor == FLAVOR_III:
+        weights = np.array([n1 - 1, n1, n2, n2 - 1], dtype=float) / (n - 1)
+        stat = _quadratic_form(cells - weights * cols, sigma, rel_cutoff)
+    elif flavor in CELL_FLAVORS:
+        pos = CELL_FLAVORS.index(flavor)
+        expected = expected_counts(n1, n2, n).ravel()[pos]
+        var = sigma[:, pos, pos]
+        bad = ~(var > 0.0)
+        stat = (cells[:, pos] - expected) / np.sqrt(np.where(bad, 1.0, var))
+    else:
+        raise InvalidInputError(f"unknown test flavor {flavor!r}")
+    return np.where(bad | ~np.isfinite(stat), np.nan, stat)
+
+
+def _single(flavor, nnct, cov_model, rel_cutoff):
+    stat = float(_statistic_only(flavor, nnct.counts[None], cov_model.sigma_full,
+                                 rel_cutoff)[0])
+    if np.isnan(stat):
+        raise DegenerateTestError(
+            f"{flavor} is undefined for this table: a zero variance or margin, "
+            "or a singular covariance"
+        )
+    return stat
 
 
 def cell_specific_test(
@@ -107,7 +146,6 @@ def cell_specific_test(
     i: int,
     j: int,
     alternative: str = "two-sided",
-    qr_kind: str = "observed",
 ) -> TestResult:
     """Z test of a single cell against its random-labeling expectation.
 
@@ -115,11 +153,8 @@ def cell_specific_test(
     """
     if i not in (1, 2) or j not in (1, 2):
         raise InvalidInputError(f"cell indices must be 1 or 2, got ({i}, {j})")
-    pos = 2 * (i - 1) + (j - 1)
-    var = cov_model.sigma_full[pos, pos]
-    if var <= 0.0:
-        raise DegenerateTestError(f"cell ({i}, {j}) has zero variance")
-    z = (nnct.counts[i - 1, j - 1] - cov_model.expected[i - 1, j - 1]) / np.sqrt(var)
+    flavor = CELL_FLAVORS[2 * (i - 1) + (j - 1)]
+    z = _single(flavor, nnct, cov_model, DEFAULT_REL_CUTOFF)
     if alternative == "two-sided":
         p = 2.0 * normal_sf(abs(z))
     elif alternative == "greater":
@@ -128,94 +163,42 @@ def cell_specific_test(
         p = normal_sf(-z)
     else:
         raise InvalidInputError(f"unknown alternative {alternative!r}")
-    return _result(cell_flavor(i, j), z, None, min(p, 1.0), cov_model, qr_kind)
+    return TestResult(flavor, z, None, min(p, 1.0))
 
 
-def dixon_overall(
-    nnct: ContingencyTable,
-    cov_model: CovarianceModel,
-    qr_kind: str = "observed",
-) -> TestResult:
+def _overall(flavor, nnct, cov_model, rel_cutoff):
+    stat = _single(flavor, nnct, cov_model, rel_cutoff)
+    df = OVERALL_DF[flavor]
+    return TestResult(flavor, stat, df, chi2_sf(stat, df))
+
+
+def dixon_overall(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResult:
     """Overall segregation test from the two diagonal cells; 2 df."""
-    y = np.array(
-        [
-            nnct.counts[0, 0] - cov_model.expected[0, 0],
-            nnct.counts[1, 1] - cov_model.expected[1, 1],
-        ]
-    )
-    sigma = cov_model.dixon_sigma()
-    v11, v22, c = sigma[0, 0], sigma[1, 1], sigma[0, 1]
-    # positive definite: both variances and the determinant positive (the
-    # determinant is positive exactly when the correlation is below 1)
-    if not (v11 > 0.0 and v22 > 0.0 and v11 * v22 - c * c > 0.0):
-        raise DegenerateTestError(
-            "singular 2x2 covariance: a zero variance or perfectly correlated diagonal cells"
-        )
-    stat = float(y @ np.linalg.solve(sigma, y))
-    return _result(FLAVOR_DIXON, stat, 2, chi2_sf(stat, 2), cov_model, qr_kind)
-
-
-def _cell_margin_vectors(nnct: ContingencyTable):
-    n1, n2 = nnct.row_sums
-    c1, c2 = nnct.col_sums
-    rows = np.array([n1, n1, n2, n2], dtype=float)
-    row_of_nn = np.array([n1, n2, n1, n2], dtype=float)
-    cols = np.array([c1, c2, c1, c2], dtype=float)
-    return rows, row_of_nn, cols
-
-
-def _scaled_quadratic_form(vec, sigma, scale_vec, n, rel_cutoff):
-    """vec' (n * sigma / (scale scale'))^- vec for entrywise-scaled sigma."""
-    scaled = n * sigma / np.outer(scale_vec, scale_vec)
-    stat = float(vec @ generalized_inverse(scaled, rel_cutoff) @ vec)
-    if not np.isfinite(stat):
-        raise DegenerateTestError("quadratic form is not finite")
-    return stat
+    return _overall(FLAVOR_DIXON, nnct, cov_model, DEFAULT_REL_CUTOFF)
 
 
 def version_I(
     nnct: ContingencyTable,
     cov_model: CovarianceModel,
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
-    qr_kind: str = "observed",
 ) -> TestResult:
     """Overall test on residuals against n_i C_j / n; 1 df."""
-    rows, _, cols = _cell_margin_vectors(nnct)
-    if np.any(cols == 0) or np.any(rows == 0):
-        raise DegenerateTestError("zero row or column sum")
-    n = nnct.total
-    denom = np.sqrt(rows * cols / n)
-    vec = (nnct.as_vector() - rows * cols / n) / denom
-    stat = _scaled_quadratic_form(
-        vec, cov_model.sigma_full, np.sqrt(rows * cols), n, rel_cutoff
-    )
-    return _result(FLAVOR_I, stat, 1, chi2_sf(stat, 1), cov_model, qr_kind)
+    return _overall(FLAVOR_I, nnct, cov_model, rel_cutoff)
 
 
 def version_II(
     nnct: ContingencyTable,
     cov_model: CovarianceModel,
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
-    qr_kind: str = "observed",
 ) -> TestResult:
     """Overall test on residuals against n_i n_j / n; 2 df."""
-    rows, row_of_nn, _ = _cell_margin_vectors(nnct)
-    if np.any(rows == 0):
-        raise DegenerateTestError("zero row sum")
-    n = nnct.total
-    denom = np.sqrt(rows * row_of_nn / n)
-    vec = (nnct.as_vector() - rows * row_of_nn / n) / denom
-    stat = _scaled_quadratic_form(
-        vec, cov_model.sigma_full, np.sqrt(rows * row_of_nn), n, rel_cutoff
-    )
-    return _result(FLAVOR_II, stat, 2, chi2_sf(stat, 2), cov_model, qr_kind)
+    return _overall(FLAVOR_II, nnct, cov_model, rel_cutoff)
 
 
 def version_III(
     nnct: ContingencyTable,
     cov_model: CovarianceModel,
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
-    qr_kind: str = "observed",
 ) -> TestResult:
     """Overall test using both row and column sums; 1 df.
 
@@ -224,87 +207,60 @@ def version_III(
     w_ij = n_i/(n - 1), which is exactly mean-zero under random labeling.
     It is paired with the generalized inverse of the cell-count covariance.
     """
-    rows, _, cols = _cell_margin_vectors(nnct)
-    n = nnct.total
-    n1, n2 = nnct.row_sums
-    weights = np.array([n1 - 1, n1, n2, n2 - 1], dtype=float) / (n - 1)
-    vec = nnct.as_vector() - weights * cols
-    stat = float(vec @ generalized_inverse(cov_model.sigma_full, rel_cutoff) @ vec)
-    if not np.isfinite(stat):
-        raise DegenerateTestError("quadratic form is not finite")
-    return _result(FLAVOR_III, stat, 1, chi2_sf(stat, 1), cov_model, qr_kind)
-
-
-def _model_for(nnct, q_obs, r_obs, qr_mode):
-    n1, n2 = nnct.row_sums
-    if qr_mode.kind == "observed":
-        return covariance_model(n1, n2, nnct.total, q_obs, r_obs)
-    return covariance_model(n1, n2, nnct.total, qr_mode.q_hat, qr_mode.r_hat)
+    return _overall(FLAVOR_III, nnct, cov_model, rel_cutoff)
 
 
 def run_battery_from_table(
     nnct: ContingencyTable,
     q: float,
     r: float,
-    qr_mode: QRMode | None = None,
     alternative: str = "two-sided",
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> list[TestResult]:
     """All four overall tests plus the four cell Z tests from a table and
-    its digraph statistics (no coordinates needed)."""
-    qr_mode = qr_mode or QRMode.observed()
-    model = _model_for(nnct, q, r, qr_mode)
-    kind = qr_mode.kind
+    the Q and R its variances use (no coordinates needed): the table's own
+    digraph statistics, or substituted CSR expectations."""
+    n1, n2 = nnct.row_sums
+    model = covariance_model(n1, n2, nnct.total, q, r)
     results = [
-        dixon_overall(nnct, model, qr_kind=kind),
-        version_I(nnct, model, rel_cutoff, qr_kind=kind),
-        version_II(nnct, model, rel_cutoff, qr_kind=kind),
-        version_III(nnct, model, rel_cutoff, qr_kind=kind),
+        dixon_overall(nnct, model),
+        version_I(nnct, model, rel_cutoff),
+        version_II(nnct, model, rel_cutoff),
+        version_III(nnct, model, rel_cutoff),
     ]
     for i in (1, 2):
         for j in (1, 2):
-            results.append(
-                cell_specific_test(nnct, model, i, j, alternative, qr_kind=kind)
-            )
+            results.append(cell_specific_test(nnct, model, i, j, alternative))
     return results
 
 
 def run_battery(
     pts: LabeledPointSet,
-    qr_mode: QRMode | None = None,
+    qr: tuple[float, float] | None = None,
     alternative: str = "two-sided",
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
     nns: NNStructure | None = None,
 ) -> list[TestResult]:
     """Full test battery for a labeled point set.
 
-    Observed mode uses the point set's own Q and R; adjusted mode keeps the
-    same table and expectations but substitutes the supplied values into the
-    variances.
+    With ``qr=None`` the variances use the point set's own Q and R; a
+    ``(q, r)`` pair, such as ``adjusted_qr(...)``, keeps the same table and
+    expectations but substitutes those values into the variances.
     """
     if nns is None:
         nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
-    return run_battery_from_table(nnct, nns.Q, nns.R, qr_mode, alternative, rel_cutoff)
+    q, r = qr if qr is not None else (nns.Q, nns.R)
+    return run_battery_from_table(nnct, q, r, alternative, rel_cutoff)
 
 
 _PERM_STREAM_TAG = 4
-
-
-def _statistic_only(flavor, nnct, model, rel_cutoff):
-    if flavor == FLAVOR_DIXON:
-        return dixon_overall(nnct, model).statistic
-    if flavor == FLAVOR_I:
-        return version_I(nnct, model, rel_cutoff).statistic
-    if flavor == FLAVOR_II:
-        return version_II(nnct, model, rel_cutoff).statistic
-    if flavor == FLAVOR_III:
-        return version_III(nnct, model, rel_cutoff).statistic
-    if flavor in CELL_FLAVORS:
-        i, j = int(flavor[-2]), int(flavor[-1])
-        # two-sided analogue: extremeness measured by |Z|
-        return abs(cell_specific_test(nnct, model, i, j).statistic)
-    raise InvalidInputError(f"unknown test flavor {flavor!r}")
+# labelings tabulated per block of permutations: its (perms x points)
+# boolean temporaries stay near 256 kB at any n
+_PERM_BLOCK_ENTRIES = 1 << 18
+# a permuted statistic within this relative distance below the observed one
+# counts as a tie: equal statistics of different tables can round ulps apart
+_TIE_RTOL = 1e-9
 
 
 def permutation_pvalue(
@@ -312,16 +268,19 @@ def permutation_pvalue(
     flavor: str,
     n_perm: int,
     seed: int,
-    qr_mode: QRMode | None = None,
+    qr: tuple[float, float] | None = None,
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> float:
     """Random-labeling permutation p-value for one test flavor.
 
     Labels are permuted uniformly over the fixed point set; the NN digraph,
     margins, Q and R are all invariant, so only the table (and for tests
-    that use them, the column sums) changes per permutation.  Returns
-    (1 + #{permuted statistic >= observed}) / (1 + n_perm).  Reproducible:
-    permutation i draws from a substream keyed by (seed, i).
+    that use them, the column sums) changes per permutation.  ``qr`` picks
+    the Q and R of the variances as in ``run_battery``.  Cell flavors are
+    two-sided: extremeness is |Z|.  Returns
+    (1 + #{permuted statistic >= observed}) / (1 + n_perm), where a
+    statistic within a relative 1e-9 below the observed one counts as a tie.
+    Reproducible: permutation i draws from a substream keyed by (seed, i).
     """
     if n_perm < 99:
         raise InvalidInputError(f"need at least 99 permutations, got {n_perm}")
@@ -330,15 +289,25 @@ def permutation_pvalue(
         raise InvalidInputError("both classes need members")
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
-    qr_mode = qr_mode or QRMode.observed()
-    model = _model_for(nnct, nns.Q, nns.R, qr_mode)
-    observed = _statistic_only(flavor, nnct, model, rel_cutoff)
+    q, r = qr if qr is not None else (nns.Q, nns.R)
+    sigma = cell_covariance(n1, n2, pts.n, q, r)
 
+    def extremeness(counts):
+        stats = _statistic_only(flavor, counts, sigma, rel_cutoff)
+        if np.isnan(stats).any():
+            raise DegenerateTestError(f"{flavor} is undefined for a labeling")
+        return np.abs(stats) if flavor in CELL_FLAVORS else stats
+
+    observed = extremeness(nnct.counts[None])[0]
+    threshold = observed - _TIE_RTOL * abs(observed)
+    class1 = pts.labels == 1
+    block = max(1, _PERM_BLOCK_ENTRIES // pts.n)
     at_least = 0
-    for idx in range(n_perm):
-        rng = np.random.default_rng([seed, _PERM_STREAM_TAG, idx])
-        permuted = rng.permutation(pts.labels)
-        table = ContingencyTable(tabulate_pairs(permuted, nns.nn_index))
-        if _statistic_only(flavor, table, model, rel_cutoff) >= observed:
-            at_least += 1
+    for lo in range(0, n_perm, block):
+        labels = np.stack([
+            np.random.default_rng([seed, _PERM_STREAM_TAG, idx]).permutation(class1)
+            for idx in range(lo, min(lo + block, n_perm))
+        ])
+        stats = extremeness(tabulate_pairs(labels, nns.nn_index))
+        at_least += int(np.count_nonzero(stats >= threshold))
     return (1 + at_least) / (1 + n_perm)

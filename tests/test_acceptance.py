@@ -12,7 +12,6 @@ from nnct import (
     ContingencyTable,
     DegenerateTestError,
     LabeledPointSet,
-    QRMode,
     SimulationConfig,
     build_nnct,
     compute_nn,
@@ -40,8 +39,8 @@ def check(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def overall_stats(table, q, r, qr_mode=None):
-    res = run_battery_from_table(table, q, r, qr_mode)[:4]
+def overall_stats(table, q, r):
+    res = run_battery_from_table(table, q, r)[:4]
     return [t.statistic for t in res], [t.p_value for t in res]
 
 
@@ -56,8 +55,7 @@ def test_criterion_1_swamp_observed():
 
 def test_criterion_2_swamp_adjusted():
     table = ContingencyTable.from_counts(SWAMP_COUNTS)
-    stats, _ = overall_stats(table, SWAMP_Q, SWAMP_R,
-                             QRMode.adjusted(SWAMP_Q_ADJ, SWAMP_R_ADJ))
+    stats, _ = overall_stats(table, SWAMP_Q_ADJ, SWAMP_R_ADJ)
     target = (51.98, 51.35, 51.41, 51.92)
     ok = all(abs(s - t) <= 0.01 for s, t in zip(stats, target))
     check("2", ok, f"swamp adjusted stats {[round(s, 4) for s in stats]} vs {target}")
@@ -70,8 +68,7 @@ def test_criterion_3_artificial_both_modes():
     p_target = (0.1868, 0.0825, 0.2152, 0.0693)
     ok = all(abs(s - t) <= 0.01 for s, t in zip(stats, s_target))
     ok = ok and all(abs(p - t) <= 0.0010 for p, t in zip(pvals, p_target))
-    stats_a, pvals_a = overall_stats(table, ARTI_Q, ARTI_R,
-                                     QRMode.adjusted(ARTI_Q_ADJ, ARTI_R_ADJ))
+    stats_a, pvals_a = overall_stats(table, ARTI_Q_ADJ, ARTI_R_ADJ)
     s_target_a = (3.32, 2.97, 3.04, 3.25)
     p_target_a = (0.1906, 0.0846, 0.2192, 0.0713)
     ok = ok and all(abs(s - t) <= 0.01 for s, t in zip(stats_a, s_target_a))

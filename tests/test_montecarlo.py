@@ -21,7 +21,9 @@ from nnct import (
     generate,
     size_band,
 )
-from nnct.segregation import OVERALL_FLAVORS
+from nnct import montecarlo
+from nnct.montecarlo import _STREAM_SIZE, _rejection_chunk
+from nnct.segregation import OVERALL_FLAVORS, version_I, version_II, version_III
 
 
 class TestGenerate:
@@ -110,6 +112,22 @@ class TestEstimateQR:
         with pytest.raises(InvalidInputError):
             adjusted_qr(10, "oracle", 10, seed=1)
 
+    def test_one_estimate_per_total_n(self, monkeypatch):
+        calls = []
+
+        def counted(n, n_mc, seed, workers=1):
+            calls.append(n)
+            return estimate_qr(n, n_mc, seed, workers)
+
+        monkeypatch.setattr(montecarlo, "estimate_qr", counted)
+        config = SimulationConfig(n_mc=20, seed=3, qr_estimate_nmc=50)
+        report = empirical_power([("segregation", 1 / 6), ("segregation", 1 / 3)],
+                                 [(20, 30), (30, 20)], config)
+        assert calls == [50]
+        est = estimate_qr(50, 50, 3)
+        assert {r.q_hat for r in report.rows if r.qr_mode == "adjusted"} == {
+            est.q_over_n * 50}
+
 
 class TestSizeBand:
     def test_reference_thresholds(self):
@@ -186,6 +204,27 @@ class TestEmpiricalSize:
     def test_alpha_zero_never_rejects(self):
         report = empirical_size([(10, 10)], _tiny_config(alpha=0.0))
         assert all(r.rejection_rate == 0.0 for r in report.rows)
+
+
+class TestRejectionChunk:
+    def test_counts_match_single_table_tests(self):
+        # reference: every replication through covariance_model and the
+        # single-table tests, observed then adjusted Q and R
+        n1, n2, seed, alpha, q_hat, r_hat = 12, 18, 5, 0.2, 19.0, 18.6
+        tests = (dixon_overall, version_I, version_II, version_III)
+        expected = np.zeros((4, 2), dtype=np.int64)
+        for rep in range(150):
+            rng = np.random.default_rng([seed, _STREAM_SIZE, n1, n2, rep])
+            pts = generate(PatternSpec.csr(n1, n2), rng)
+            nns = compute_nn(pts)
+            table = build_nnct(pts, nns)
+            for m, (q, r) in enumerate(((nns.Q, nns.R), (q_hat, r_hat))):
+                model = covariance_model(n1, n2, n1 + n2, q, r)
+                for t, test in enumerate(tests):
+                    expected[t, m] += test(table, model).p_value <= alpha
+        got = _rejection_chunk("csr", 0.0, n1, n2, seed, alpha, q_hat, r_hat, 0, 150)
+        assert expected.sum() > 0
+        assert np.array_equal(got, expected)
 
 
 class TestEmpiricalPower:

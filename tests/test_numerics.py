@@ -41,6 +41,23 @@ class TestGeneralizedInverse:
         with pytest.raises(InvalidInputError):
             generalized_inverse(np.ones((2, 3)))
 
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(6, 4, 3))
+        m = b @ np.swapaxes(b, -1, -2)
+        m[0] *= 1e6
+        m[2] = 0.0  # a largest eigenvalue <= 0 maps to zero
+        g = generalized_inverse(m)
+        assert g.shape == m.shape
+        for k in range(6):
+            assert np.array_equal(g[k], generalized_inverse(m[k]))
+        assert not g[2].any()
+        # the symmetry check scales with each matrix, not with the stack
+        bad = m.copy()
+        bad[4, 0, 1] += 1e-9 * max(1.0, np.abs(m[4]).max())
+        with pytest.raises(InvalidInputError):
+            generalized_inverse(bad)
+
     def test_zero_matrix(self):
         assert np.array_equal(generalized_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
 

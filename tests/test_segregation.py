@@ -1,4 +1,7 @@
-"""Overall and cell-specific tests: reference values, identities, permutation."""
+"""Overall and cell-specific tests: reference values, identities, the
+stacked statistic kernel, permutation."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from nnct import (
     DegenerateTestError,
     InvalidInputError,
     LabeledPointSet,
-    QRMode,
     build_nnct,
     cell_specific_test,
     compute_nn,
@@ -23,7 +25,14 @@ from nnct import (
     version_II,
     version_III,
 )
-from nnct.segregation import OVERALL_FLAVORS
+from nnct.contingency import cell_covariance, tabulate_pairs
+from nnct.numerics import DEFAULT_REL_CUTOFF
+from nnct.segregation import (
+    _PERM_STREAM_TAG,
+    CELL_FLAVORS,
+    OVERALL_FLAVORS,
+    _statistic_only,
+)
 
 from conftest import (
     ARTI_Q,
@@ -171,12 +180,10 @@ class TestBattery:
         assert [r.flavor for r in results[4:]] == [
             "cell_Z_11", "cell_Z_12", "cell_Z_21", "cell_Z_22",
         ]
-        assert all(r.qr_mode == "observed" for r in results)
-        assert all(r.q_used == 70 and r.r_used == 60 for r in results)
 
     def test_adjusted_equals_observed_at_observed_values(self, artificial_points):
         obs = run_battery(artificial_points)
-        adj = run_battery(artificial_points, QRMode.adjusted(ARTI_Q, ARTI_R))
+        adj = run_battery(artificial_points, qr=(ARTI_Q, ARTI_R))
         for a, b in zip(obs, adj):
             assert a.statistic == b.statistic
             assert a.p_value == b.p_value
@@ -211,13 +218,53 @@ class TestBattery:
         for a, b in zip(via_pts, via_tbl):
             assert a.statistic == b.statistic
 
-    def test_qr_mode_validation(self):
+
+class TestKernel:
+    @staticmethod
+    def stack(b=30):
+        """Tables of relabelings of one point set, with per-table sigmas."""
+        rng = np.random.default_rng(61)
+        pts = random_point_set(rng, 40, n1=17)
+        nns = compute_nn(pts)
+        labels = np.stack([rng.permutation(pts.labels) for _ in range(b)])
+        q, r = rng.uniform(10.0, 40.0, size=(2, b))
+        return tabulate_pairs(labels, nns.nn_index), cell_covariance(17, 23, 40, q, r)
+
+    @pytest.mark.parametrize("flavor", OVERALL_FLAVORS + CELL_FLAVORS)
+    def test_shuffled_stack_equals_single_tables_bitwise(self, flavor):
+        counts, sigmas = self.stack()
+        order = np.random.default_rng(67).permutation(len(counts))
+        for shared in (False, True):
+            sigma = sigmas[0] if shared else sigmas[order]
+            stacked = _statistic_only(flavor, counts[order], sigma, DEFAULT_REL_CUTOFF)
+            single = [
+                _statistic_only(flavor, counts[k][None], sigmas[0 if shared else k],
+                                DEFAULT_REL_CUTOFF)[0]
+                for k in order
+            ]
+            assert np.isfinite(stacked).all()
+            assert stacked.tobytes() == np.array(single).tobytes()
+
+    def test_degenerate_table_is_nan_in_its_own_row_only(self):
+        counts = np.array([[[6, 4], [3, 7]], [[10, 0], [10, 0]], [[5, 5], [4, 6]]])
+        # Q = 0, R = 20 (ten mutual pairs) makes N11 and N22 perfectly
+        # correlated; the middle table also has a zero column sum
+        sigma = cell_covariance(10, 10, 20, [12.0, 0.0, 14.0], [12.0, 20.0, 12.0])
+        for flavor, sig in (("dixon_overall", sigma), ("version_I", sigma[0])):
+            stats = _statistic_only(flavor, counts, sig, DEFAULT_REL_CUTOFF)
+            assert np.isnan(stats[1])
+            kept = _statistic_only(flavor, counts[[0, 2]],
+                                   sig[[0, 2]] if sig.ndim == 3 else sig, DEFAULT_REL_CUTOFF)
+            assert np.isfinite(kept).all()
+            assert stats[[0, 2]].tobytes() == kept.tobytes()
+
+    def test_validation(self):
+        counts, sigmas = self.stack(2)
         with pytest.raises(InvalidInputError):
-            QRMode.adjusted(-1.0, 2.0)
+            _statistic_only("no_such_test", counts, sigmas, DEFAULT_REL_CUTOFF)
+        mixed = np.array([[[6, 4], [3, 7]], [[5, 6], [4, 5]]])  # row sums differ
         with pytest.raises(InvalidInputError):
-            QRMode(kind="adjusted")
-        with pytest.raises(InvalidInputError):
-            QRMode(kind="wild")
+            _statistic_only("dixon_overall", mixed, sigmas[0], DEFAULT_REL_CUTOFF)
 
 
 class TestPermutation:
@@ -247,6 +294,31 @@ class TestPermutation:
             permutation_pvalue(single, "dixon_overall", n_perm=999, seed=1)
         with pytest.raises(InvalidInputError):
             permutation_pvalue(p, "no_such_test", n_perm=99, seed=1)
+
+    @pytest.mark.parametrize("seed", [1, 14])
+    def test_ties_with_the_observed_statistic_count(self, seed):
+        # with balanced classes, diagonals (a, b) and (b, a) give equal Dixon
+        # statistics that can round ulps apart; compare with exact arithmetic
+        pts = LabeledPointSet(np.random.default_rng(seed).random((30, 2)),
+                              np.repeat([1, 2], 15))
+        nns = compute_nn(pts)
+        sigma = covariance_model(15, 15, 30, nns.Q, nns.R).sigma_full
+        v11, v22, c = (Fraction(x) for x in (sigma[0, 0], sigma[3, 3], sigma[0, 3]))
+        e = Fraction(15 * 14, 29)
+
+        def exact(table):
+            y1, y2 = int(table[0, 0]) - e, int(table[1, 1]) - e
+            return (v22 * y1 * y1 - 2 * c * y1 * y2 + v11 * y2 * y2) / (v11 * v22 - c * c)
+
+        observed = exact(build_nnct(pts, nns).counts)
+        at_least = sum(
+            exact(tabulate_pairs(
+                np.random.default_rng([3, _PERM_STREAM_TAG, i]).permutation(pts.labels),
+                nns.nn_index)) >= observed
+            for i in range(999)
+        )
+        pv = permutation_pvalue(pts, "dixon_overall", n_perm=999, seed=3)
+        assert pv == (1 + at_least) / 1000
 
     @pytest.mark.slow
     def test_artificial_fixture_agrees_with_asymptotic(self, artificial_points):
