@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dataio import ingest
+from .dataio import check_delimiter, ingest
 from .errors import (
     DegenerateTestError,
     InternalConsistencyError,
@@ -187,6 +187,10 @@ def _cmd_analyze(args, cfg) -> int:
     if sided is None:
         raise _UsageError("--sided must be two, greater, or less")
     delim = _get(args, cfg, "delimiter", str, ",")
+    try:
+        check_delimiter(delim)
+    except InvalidInputError as e:
+        raise _UsageError(str(e))
     rel_cutoff = _get(args, cfg, "rel_cutoff", float, DEFAULT_REL_CUTOFF)
     no_header = _get(args, cfg, "no_header", _as_bool, False)
     with_cells = _get(args, cfg, "cells", _as_bool, False)

@@ -29,8 +29,7 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected square matrices, got shape {m.shape}")
     if m.size:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True))
-        if not np.isclose(m, np.swapaxes(m, -1, -2), rtol=0.0,
-                          atol=_SYMMETRY_ATOL * scale).all():
+        if not (np.abs(m - np.swapaxes(m, -1, -2)) <= _SYMMETRY_ATOL * scale).all():
             raise InvalidInputError("matrix is not symmetric")
     return m
 
