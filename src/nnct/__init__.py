@@ -22,7 +22,6 @@ from .contingency import (
 from .dataio import ingest
 from .errors import (
     DegenerateTestError,
-    InternalConsistencyError,
     InvalidInputError,
     NnctError,
     ParseError,
@@ -71,7 +70,6 @@ __all__ = [
     "CovarianceModel",
     "DEFAULT_REL_CUTOFF",
     "DegenerateTestError",
-    "InternalConsistencyError",
     "InvalidInputError",
     "LabeledPointSet",
     "NNStructure",

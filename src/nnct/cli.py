@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .dataio import check_delimiter, ingest
-from .errors import (
-    DegenerateTestError,
-    InternalConsistencyError,
-    InvalidInputError,
-    ParseError,
-)
+from .errors import DegenerateTestError, InvalidInputError, ParseError
 from .geometry import compute_nn
 from .montecarlo import (
     PAPER_COMBOS,
@@ -43,6 +38,8 @@ EXIT_INVALID = 4
 EXIT_DEGENERATE = 5
 
 _SIDED = {"two": "two-sided", "greater": "greater", "less": "less"}
+# spellings of a tab delimiter that survive a config file's value stripping
+_TAB_NAMES = ("tab", "\\t")
 
 
 class _UsageError(Exception):
@@ -187,6 +184,8 @@ def _cmd_analyze(args, cfg) -> int:
     if sided is None:
         raise _UsageError("--sided must be two, greater, or less")
     delim = _get(args, cfg, "delimiter", str, ",")
+    if delim in _TAB_NAMES:
+        delim = "\t"
     try:
         check_delimiter(delim)
     except InvalidInputError as e:
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidInputError, InternalConsistencyError) as e:
+    except InvalidInputError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateTestError as e:

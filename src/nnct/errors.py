@@ -16,7 +16,3 @@ class ParseError(NnctError):
 class DegenerateTestError(NnctError):
     """A test statistic is undefined for this input (zero variance,
     singular covariance, empty class, or similar)."""
-
-
-class InternalConsistencyError(NnctError):
-    """Objects passed together do not belong to the same analysis."""

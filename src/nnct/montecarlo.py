@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -234,6 +233,8 @@ def _run_chunks(worker, n_mc: int, workers: int) -> list:
     bounds = [(lo, min(lo + _CHUNK, n_mc)) for lo in range(0, n_mc, _CHUNK)]
     if workers <= 1 or len(bounds) <= 1:
         return [worker(lo, hi) for lo, hi in bounds]
+    from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*bounds)))
 

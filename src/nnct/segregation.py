@@ -255,8 +255,11 @@ def run_battery(
 
 
 _PERM_STREAM_TAG = 4
-# labelings tabulated per block of permutations: its (perms x points)
-# boolean temporaries stay near 256 kB at any n
+# permutations per random stream: permutations 64b .. 64b + 63 draw from
+# one generator keyed by (seed, _PERM_STREAM_TAG, b)
+_PERM_BLOCK = 64
+# labelings drawn and tabulated at once: the (rows x points) boolean
+# temporaries stay near 256 kB at any n; no p-value depends on it
 _PERM_BLOCK_ENTRIES = 1 << 18
 # a permuted statistic within this relative distance below the observed one
 # counts as a tie: equal statistics of different tables can round ulps apart
@@ -279,8 +282,15 @@ def permutation_pvalue(
     the Q and R of the variances as in ``run_battery``.  Cell flavors are
     two-sided: extremeness is |Z|.  Returns
     (1 + #{permuted statistic >= observed}) / (1 + n_perm), where a
-    statistic within a relative 1e-9 below the observed one counts as a tie.
-    Reproducible: permutation i draws from a substream keyed by (seed, i).
+    statistic within a relative 1e-9 below the observed one counts as a tie
+    and a permuted labeling whose statistic is undefined does not count.
+    An undefined observed statistic raises ``DegenerateTestError``.
+
+    Reproducible: permutations 64b .. 64b + 63 are the successive
+    ``permutation`` draws of ``default_rng([seed, 4, b])``, taken with
+    ``Generator.permuted(axis=1)`` in sub-blocks of at most
+    ``_PERM_BLOCK_ENTRIES // n`` rows, so above n = 4096 a block is drawn
+    in pieces from the same generator and the p-value does not change.
     """
     if n_perm < 99:
         raise InvalidInputError(f"need at least 99 permutations, got {n_perm}")
@@ -294,20 +304,26 @@ def permutation_pvalue(
 
     def extremeness(counts):
         stats = _statistic_only(flavor, counts, sigma, rel_cutoff)
-        if np.isnan(stats).any():
-            raise DegenerateTestError(f"{flavor} is undefined for a labeling")
         return np.abs(stats) if flavor in CELL_FLAVORS else stats
 
     observed = extremeness(nnct.counts[None])[0]
+    if np.isnan(observed):
+        raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
     class1 = pts.labels == 1
-    block = max(1, _PERM_BLOCK_ENTRIES // pts.n)
-    at_least = 0
-    for lo in range(0, n_perm, block):
-        labels = np.stack([
-            np.random.default_rng([seed, _PERM_STREAM_TAG, idx]).permutation(class1)
-            for idx in range(lo, min(lo + block, n_perm))
-        ])
-        stats = extremeness(tabulate_pairs(labels, nns.nn_index))
-        at_least += int(np.count_nonzero(stats >= threshold))
+    rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
+    at_least = scored = 0
+    tables = []
+    for start in range(0, n_perm, _PERM_BLOCK):
+        rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // _PERM_BLOCK])
+        stop = min(start + _PERM_BLOCK, n_perm)
+        for lo in range(start, stop, rows):
+            labels = rng.permuted(np.broadcast_to(class1, (min(rows, stop - lo), pts.n)),
+                                  axis=1)
+            tables.append(tabulate_pairs(labels, nns.nn_index))
+        # score about `rows` tables at a time; NaN compares False
+        if stop - scored >= rows or stop == n_perm:
+            stats = extremeness(np.concatenate(tables))
+            at_least += int(np.count_nonzero(stats >= threshold))
+            tables, scored = [], stop
     return (1 + at_least) / (1 + n_perm)

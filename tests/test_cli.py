@@ -250,6 +250,17 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["qr_mode"] == "observed"
 
+    @pytest.mark.parametrize("spelling", ["tab", "\\t"])
+    def test_config_tab_delimiter(self, tmp_path, capsys, spelling):
+        assert main(["analyze", FIXTURE]) == 0
+        expected = capsys.readouterr().out
+        with open(FIXTURE, encoding="utf-8") as fh:
+            tsv = write(tmp_path, fh.read().replace(",", "\t"), "pts.tsv")
+        cfg = tmp_path / "tab.cfg"
+        cfg.write_text(f"delimiter = {spelling}\n")
+        assert main(["analyze", tsv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")

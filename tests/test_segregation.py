@@ -25,6 +25,7 @@ from nnct import (
     version_II,
     version_III,
 )
+from nnct import segregation
 from nnct.contingency import cell_covariance, tabulate_pairs
 from nnct.numerics import DEFAULT_REL_CUTOFF
 from nnct.segregation import (
@@ -267,6 +268,24 @@ class TestKernel:
             _statistic_only("dixon_overall", mixed, sigmas[0], DEFAULT_REL_CUTOFF)
 
 
+def perm_stream(seed, labels, n_perm):
+    """The permuted labelings ``permutation_pvalue`` scores: permutations
+    64b .. 64b + 63 are successive ``permutation`` calls on block b's
+    generator."""
+    for start in range(0, n_perm, 64):
+        rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // 64])
+        for _ in range(start, min(start + 64, n_perm)):
+            yield rng.permutation(labels)
+
+
+def hub_and_circle():
+    """A hub at the origin plus 5 points on the unit circle: every circle
+    point's NN is the hub, so many labelings have a zero column sum."""
+    ang = 2 * np.pi * np.arange(5) / 5
+    points = np.vstack([[0.0, 0.0], np.c_[np.cos(ang), np.sin(ang)]])
+    return LabeledPointSet(points, np.array([1, 1, 2, 2, 1, 2]))
+
+
 class TestPermutation:
     def test_bounds_and_reproducibility(self):
         rng = np.random.default_rng(47)
@@ -312,13 +331,45 @@ class TestPermutation:
 
         observed = exact(build_nnct(pts, nns).counts)
         at_least = sum(
-            exact(tabulate_pairs(
-                np.random.default_rng([3, _PERM_STREAM_TAG, i]).permutation(pts.labels),
-                nns.nn_index)) >= observed
-            for i in range(999)
+            exact(tabulate_pairs(labels, nns.nn_index)) >= observed
+            for labels in perm_stream(3, pts.labels, 999)
         )
         pv = permutation_pvalue(pts, "dixon_overall", n_perm=999, seed=3)
         assert pv == (1 + at_least) / 1000
+
+    def test_undefined_permuted_statistics_do_not_count(self):
+        pts = hub_and_circle()
+        nns = compute_nn(pts)
+        model = covariance_model(3, 3, 6, nns.Q, nns.R)
+        observed = version_I(build_nnct(pts, nns), model).statistic
+        at_least = undefined = 0
+        for labels in perm_stream(1, pts.labels, 999):
+            try:
+                stat = version_I(build_nnct(LabeledPointSet(pts.points, labels), nns),
+                                 model).statistic
+            except DegenerateTestError:
+                undefined += 1
+                continue
+            at_least += stat >= observed * (1 - 1e-9)
+        assert undefined > 0
+        assert permutation_pvalue(pts, "version_I", 999, 1) == (1 + at_least) / 1000
+
+    def test_undefined_observed_statistic_raises(self):
+        pts = hub_and_circle()
+        # only the hub and its NN in class 1: every NN is in class 1
+        labels = np.full(6, 2)
+        labels[[0, compute_nn(pts).nn_index[0]]] = 1
+        with pytest.raises(DegenerateTestError):
+            permutation_pvalue(LabeledPointSet(pts.points, labels), "version_I", 99, 1)
+
+    # with n = 40: one row per sub-block, 7-row sub-blocks, the whole run at once
+    @pytest.mark.parametrize("entries", [40, 7 * 40, 1 << 30])
+    @pytest.mark.parametrize("flavor", ["dixon_overall", "version_I", "cell_Z_12"])
+    def test_pvalue_does_not_depend_on_the_block_entries(self, monkeypatch, entries, flavor):
+        pts = random_point_set(np.random.default_rng(61), 40, n1=16)
+        expected = permutation_pvalue(pts, flavor, 999, 9)
+        monkeypatch.setattr(segregation, "_PERM_BLOCK_ENTRIES", entries)
+        assert permutation_pvalue(pts, flavor, 999, 9) == expected
 
     @pytest.mark.slow
     def test_artificial_fixture_agrees_with_asymptotic(self, artificial_points):
