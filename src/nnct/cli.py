@@ -26,7 +26,6 @@ from .montecarlo import (
     empirical_size,
     estimate_qr,
 )
-from .numerics import DEFAULT_REL_CUTOFF
 from .report import AnalysisReport
 from .segregation import run_battery_from_table
 from .contingency import build_nnct
@@ -71,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--no-header", dest="no_header", action="store_true", default=None,
                     help="treat the first row as data")
     pa.add_argument("--delimiter")
-    pa.add_argument("--rel-cutoff", dest="rel_cutoff", type=float,
-                    help="relative eigenvalue cutoff of the generalized inverse")
     pa.add_argument("--config", help="key=value file supplying flag defaults")
 
     ps = sub.add_parser("simulate", help="Monte Carlo size and power studies")
@@ -190,7 +187,6 @@ def _cmd_analyze(args, cfg) -> int:
         check_delimiter(delim)
     except InvalidInputError as e:
         raise _UsageError(str(e))
-    rel_cutoff = _get(args, cfg, "rel_cutoff", float, DEFAULT_REL_CUTOFF)
     no_header = _get(args, cfg, "no_header", _as_bool, False)
     with_cells = _get(args, cfg, "cells", _as_bool, False)
     classes_opt = _get(args, cfg, "classes", str, None)
@@ -212,7 +208,7 @@ def _cmd_analyze(args, cfg) -> int:
         source = "asymptotic" if mode == "adjusted-asymptotic" else "estimate"
         q_used, r_used = adjusted_qr(pts.n, source, nmc, seed)
 
-    results = run_battery_from_table(table, q_used, r_used, sided, rel_cutoff)
+    results = run_battery_from_table(table, q_used, r_used, sided)
     tests = results[:4] if not with_cells else results
     n1, n2 = pts.class_sizes
     rep = AnalysisReport(
@@ -281,8 +277,13 @@ def _cmd_simulate(args, cfg) -> int:
         report = empirical_power([("association", v) for v in values], combos, config)
         prefix = _get(args, cfg, "out", str, "power_assoc")
 
-    for path in _write_report(report, prefix):
+    paths = _write_report(report, prefix)
+    for path in paths:
         print(f"wrote {path}")
+    counts = [r.n_degenerate for r in report.rows if r.n_degenerate]
+    if counts:
+        print(f"{sum(counts)} undefined statistics in {len(counts)} rows counted as "
+              f"non-rejections; see n_degenerate in {paths[1]}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -223,14 +223,11 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     return nn
 
 
-def _nn_indices(coords: np.ndarray, method: str = "auto") -> np.ndarray:
-    if method == "auto":
-        method = "brute" if coords.shape[0] <= _BRUTE_FORCE_MAX else "kdtree"
-    if method == "brute":
+def _nn_indices(coords: np.ndarray) -> np.ndarray:
+    """Brute force up to ``_BRUTE_FORCE_MAX`` points, the kd-tree above."""
+    if coords.shape[0] <= _BRUTE_FORCE_MAX:
         return _nn_brute(coords)
-    if method == "kdtree":
-        return _nn_kdtree(coords)
-    raise InvalidInputError(f"unknown NN search method {method!r}")
+    return _nn_kdtree(coords)
 
 
 def digraph_q_r(nn: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -249,18 +246,8 @@ def structure_from_nn_index(nn_index: np.ndarray) -> NNStructure:
     return NNStructure(nn_index=nn, indegree=indegree, Q=q, R=r)
 
 
-def compute_nn(pts: LabeledPointSet, method: str = "auto") -> NNStructure:
-    """Build the NN digraph of a point set.
-
-    Parameters
-    ----------
-    pts : LabeledPointSet
-    method : {"auto", "brute", "kdtree"}
-        "brute" is the quadratic reference implementation, "kdtree" the
-        accelerated path; both apply the lowest-index tie rule and agree
-        exactly on tie-free inputs.
-    """
-    if pts.n < 2:
-        raise InvalidInputError("need at least 2 points")
-    return structure_from_nn_index(_nn_indices(pts.points, method))
+def compute_nn(pts: LabeledPointSet) -> NNStructure:
+    """Build the NN digraph of a point set.  Both searches apply the
+    lowest-index tie rule and give identical indices on every input."""
+    return structure_from_nn_index(_nn_indices(pts.points))
 

@@ -16,9 +16,9 @@ from functools import partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import DegenerateTestError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import LabeledPointSet, _nn_indices, digraph_q_r
-from .numerics import DEFAULT_REL_CUTOFF, chi2_sf
+from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
 
 # Large-n CSR expectations of Q/n and R/n on the unit square (Monte Carlo
@@ -147,6 +147,7 @@ class SizePowerRow:
     rejection_rate: float
     mc_se: float
     flag: str
+    n_degenerate: int  # replications whose statistic was undefined
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,9 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
 
 
 def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
-    """Rejection counts over replications [lo, hi) as a (4 tests, 2 modes)
-    integer matrix; modes are observed then adjusted."""
+    """Counts over replications [lo, hi) as a (2, 4 tests, 2 modes) integer
+    array: rejections, then undefined statistics; modes are observed then
+    adjusted.  An undefined statistic is a non-rejection of its test only."""
     if kind == "csr":
         spec = PatternSpec.csr(n1, n2)
         entropy = (seed, _STREAM_SIZE, n1, n2)
@@ -317,14 +319,16 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
         np.broadcast_to(cell_covariance(n1, n2, n, q_hat, r_hat), (reps, 4, 4)),
     ])
     both = np.concatenate([counts, counts])
-    rej = np.zeros((4, 2), dtype=np.int64)
+    out = np.zeros((2, 4, 2), dtype=np.int64)
     for t, flavor in enumerate(OVERALL_FLAVORS):
-        stats = _statistic_only(flavor, both, sigma, DEFAULT_REL_CUTOFF)
-        if np.isnan(stats).any():
-            raise DegenerateTestError(f"{flavor} is undefined in a replication")
-        rejected = [chi2_sf(x, OVERALL_DF[flavor]) <= alpha for x in stats.tolist()]
-        rej[t] = np.reshape(rejected, (2, reps)).sum(axis=1)
-    return rej
+        stats = _statistic_only(flavor, both, sigma)
+        undefined = np.isnan(stats)
+        # an undefined statistic scores 0, which no alpha < 1 rejects
+        rejected = [chi2_sf(x, OVERALL_DF[flavor]) <= alpha
+                    for x in np.where(undefined, 0.0, stats).tolist()]
+        out[0, t] = np.reshape(rejected, (2, reps)).sum(axis=1)
+        out[1, t] = undefined.reshape(2, reps).sum(axis=1)
+    return out
 
 
 def adjusted_qr(n: int, source: str, n_mc: int, seed: int,
@@ -364,7 +368,7 @@ def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
                 _rejection_chunk, alt_kind, param, n1, n2,
                 config.seed, config.alpha, q_hat, r_hat,
             )
-            rej = sum(_run_chunks(worker, config.n_mc, config.parallelism))
+            rej, degenerate = sum(_run_chunks(worker, config.n_mc, config.parallelism))
             for m, mode in enumerate(QR_MODES):
                 for t, flavor in enumerate(OVERALL_FLAVORS):
                     rate = float(rej[t, m]) / config.n_mc
@@ -378,6 +382,7 @@ def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
                         r_hat=r_hat if mode == "adjusted" else None,
                         rejection_rate=rate, mc_se=se,
                         flag=_band_flag(rate, band),
+                        n_degenerate=int(degenerate[t, m]),
                     ))
     return SizePowerReport(
         kind=report_kind, alpha=config.alpha, n_mc=config.n_mc,

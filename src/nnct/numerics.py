@@ -3,7 +3,7 @@ probabilities used by the tests.
 
 The quadratic-form tests work on 2x2 and 4x4 symmetric covariance matrices
 that are rank-deficient by construction, so the inverse used throughout is a
-spectral pseudo-inverse with a configurable relative eigenvalue cutoff.
+spectral pseudo-inverse with a fixed relative eigenvalue cutoff.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def generalized_inverse(m: np.ndarray, rel_cutoff: float = DEFAULT_REL_CUTOFF) -> np.ndarray:
+def generalized_inverse(m: np.ndarray) -> np.ndarray:
     """Spectral pseudo-inverse of a symmetric matrix, or of each matrix in a
     ``(..., k, k)`` stack.
 
-    Eigenvalues above ``rel_cutoff`` times the largest eigenvalue of their
-    matrix are inverted; the rest (including any negative roundoff
+    Eigenvalues above ``DEFAULT_REL_CUTOFF`` times the largest eigenvalue
+    of their matrix are inverted; the rest (including any negative roundoff
     eigenvalues) are zeroed, and a matrix whose largest eigenvalue is not
     positive maps to zero.  On the retained eigenspace the result satisfies
     the Moore-Penrose identities ``m g m = m`` and ``g m g = g``.
@@ -48,7 +48,7 @@ def generalized_inverse(m: np.ndarray, rel_cutoff: float = DEFAULT_REL_CUTOFF) -
     m = 0.5 * (m + np.swapaxes(m, -1, -2))
     w, v = np.linalg.eigh(m)
     wmax = w[..., -1:]
-    keep = (w > rel_cutoff * wmax) & (wmax > 0.0)
+    keep = (w > DEFAULT_REL_CUTOFF * wmax) & (wmax > 0.0)
     inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     return (v * inv_w[..., None, :]) @ np.swapaxes(v, -1, -2)
 

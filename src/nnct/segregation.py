@@ -42,7 +42,7 @@ from .contingency import (
 )
 from .errors import DegenerateTestError, InvalidInputError
 from .geometry import LabeledPointSet, NNStructure, compute_nn
-from .numerics import DEFAULT_REL_CUTOFF, chi2_sf, generalized_inverse, normal_sf
+from .numerics import chi2_sf, generalized_inverse, normal_sf
 
 FLAVOR_DIXON = "dixon_overall"
 FLAVOR_I = "version_I"
@@ -62,14 +62,16 @@ class TestResult:
     p_value: float
 
 
-def _quadratic_form(vec, m, rel_cutoff):
+def _quadratic_form(vec, m):
     """vec' m^- vec for each row of a (B, 4) stack against (B, 4, 4)
     matrices.  Batched matmul rather than an elementwise sum: each value
-    then rounds exactly like ``vec @ g @ vec`` on one table."""
-    return (vec[:, None, :] @ generalized_inverse(m, rel_cutoff) @ vec[:, :, None])[:, 0, 0]
+    then rounds exactly like ``vec @ g @ vec`` on one table.  The form is
+    PSD, so a value that rounds below zero is clamped to 0; NaN stays."""
+    form = (vec[:, None, :] @ generalized_inverse(m) @ vec[:, :, None])[:, 0, 0]
+    return np.maximum(form, 0.0)
 
 
-def _statistic_only(flavor, counts, sigma, rel_cutoff):
+def _statistic_only(flavor, counts, sigma):
     """Statistic of test ``flavor`` for each table of a ``(B, 2, 2)`` stack
     that shares its row sums, against the 4x4 cell-count covariance
     ``sigma`` (one matrix for all tables, or a ``(B, 4, 4)`` stack).
@@ -114,10 +116,10 @@ def _statistic_only(flavor, counts, sigma, rel_cutoff):
         vec = (cells - prod / n) / np.sqrt(prod / n)
         scale = np.sqrt(prod)
         scaled = n * sigma / (scale[:, :, None] * scale[:, None, :])
-        stat = _quadratic_form(vec, scaled, rel_cutoff)
+        stat = _quadratic_form(vec, scaled)
     elif flavor == FLAVOR_III:
         weights = np.array([n1 - 1, n1, n2, n2 - 1], dtype=float) / (n - 1)
-        stat = _quadratic_form(cells - weights * cols, sigma, rel_cutoff)
+        stat = _quadratic_form(cells - weights * cols, sigma)
     elif flavor in CELL_FLAVORS:
         pos = CELL_FLAVORS.index(flavor)
         expected = expected_counts(n1, n2, n).ravel()[pos]
@@ -129,9 +131,8 @@ def _statistic_only(flavor, counts, sigma, rel_cutoff):
     return np.where(bad | ~np.isfinite(stat), np.nan, stat)
 
 
-def _single(flavor, nnct, cov_model, rel_cutoff):
-    stat = float(_statistic_only(flavor, nnct.counts[None], cov_model.sigma_full,
-                                 rel_cutoff)[0])
+def _single(flavor, nnct, cov_model):
+    stat = float(_statistic_only(flavor, nnct.counts[None], cov_model.sigma_full)[0])
     if np.isnan(stat):
         raise DegenerateTestError(
             f"{flavor} is undefined for this table: a zero variance or margin, "
@@ -154,7 +155,7 @@ def cell_specific_test(
     if i not in (1, 2) or j not in (1, 2):
         raise InvalidInputError(f"cell indices must be 1 or 2, got ({i}, {j})")
     flavor = CELL_FLAVORS[2 * (i - 1) + (j - 1)]
-    z = _single(flavor, nnct, cov_model, DEFAULT_REL_CUTOFF)
+    z = _single(flavor, nnct, cov_model)
     if alternative == "two-sided":
         p = 2.0 * normal_sf(abs(z))
     elif alternative == "greater":
@@ -166,40 +167,28 @@ def cell_specific_test(
     return TestResult(flavor, z, None, min(p, 1.0))
 
 
-def _overall(flavor, nnct, cov_model, rel_cutoff):
-    stat = _single(flavor, nnct, cov_model, rel_cutoff)
+def _overall(flavor, nnct, cov_model):
+    stat = _single(flavor, nnct, cov_model)
     df = OVERALL_DF[flavor]
     return TestResult(flavor, stat, df, chi2_sf(stat, df))
 
 
 def dixon_overall(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResult:
     """Overall segregation test from the two diagonal cells; 2 df."""
-    return _overall(FLAVOR_DIXON, nnct, cov_model, DEFAULT_REL_CUTOFF)
+    return _overall(FLAVOR_DIXON, nnct, cov_model)
 
 
-def version_I(
-    nnct: ContingencyTable,
-    cov_model: CovarianceModel,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> TestResult:
+def version_I(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResult:
     """Overall test on residuals against n_i C_j / n; 1 df."""
-    return _overall(FLAVOR_I, nnct, cov_model, rel_cutoff)
+    return _overall(FLAVOR_I, nnct, cov_model)
 
 
-def version_II(
-    nnct: ContingencyTable,
-    cov_model: CovarianceModel,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> TestResult:
+def version_II(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResult:
     """Overall test on residuals against n_i n_j / n; 2 df."""
-    return _overall(FLAVOR_II, nnct, cov_model, rel_cutoff)
+    return _overall(FLAVOR_II, nnct, cov_model)
 
 
-def version_III(
-    nnct: ContingencyTable,
-    cov_model: CovarianceModel,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> TestResult:
+def version_III(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResult:
     """Overall test using both row and column sums; 1 df.
 
     The deviation vector subtracts column-sum based expectations,
@@ -207,7 +196,7 @@ def version_III(
     w_ij = n_i/(n - 1), which is exactly mean-zero under random labeling.
     It is paired with the generalized inverse of the cell-count covariance.
     """
-    return _overall(FLAVOR_III, nnct, cov_model, rel_cutoff)
+    return _overall(FLAVOR_III, nnct, cov_model)
 
 
 def run_battery_from_table(
@@ -215,7 +204,6 @@ def run_battery_from_table(
     q: float,
     r: float,
     alternative: str = "two-sided",
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> list[TestResult]:
     """All four overall tests plus the four cell Z tests from a table and
     the Q and R its variances use (no coordinates needed): the table's own
@@ -224,9 +212,9 @@ def run_battery_from_table(
     model = covariance_model(n1, n2, nnct.total, q, r)
     results = [
         dixon_overall(nnct, model),
-        version_I(nnct, model, rel_cutoff),
-        version_II(nnct, model, rel_cutoff),
-        version_III(nnct, model, rel_cutoff),
+        version_I(nnct, model),
+        version_II(nnct, model),
+        version_III(nnct, model),
     ]
     for i in (1, 2):
         for j in (1, 2):
@@ -238,7 +226,6 @@ def run_battery(
     pts: LabeledPointSet,
     qr: tuple[float, float] | None = None,
     alternative: str = "two-sided",
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
     nns: NNStructure | None = None,
 ) -> list[TestResult]:
     """Full test battery for a labeled point set.
@@ -251,7 +238,7 @@ def run_battery(
         nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
     q, r = qr if qr is not None else (nns.Q, nns.R)
-    return run_battery_from_table(nnct, q, r, alternative, rel_cutoff)
+    return run_battery_from_table(nnct, q, r, alternative)
 
 
 _PERM_STREAM_TAG = 4
@@ -272,7 +259,6 @@ def permutation_pvalue(
     n_perm: int,
     seed: int,
     qr: tuple[float, float] | None = None,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> float:
     """Random-labeling permutation p-value for one test flavor.
 
@@ -303,7 +289,7 @@ def permutation_pvalue(
     sigma = cell_covariance(n1, n2, pts.n, q, r)
 
     def extremeness(counts):
-        stats = _statistic_only(flavor, counts, sigma, rel_cutoff)
+        stats = _statistic_only(flavor, counts, sigma)
         return np.abs(stats) if flavor in CELL_FLAVORS else stats
 
     observed = extremeness(nnct.counts[None])[0]

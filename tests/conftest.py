@@ -40,3 +40,11 @@ def random_point_set(rng: np.random.Generator, n: int, n1: int | None = None) ->
         n1 = int(rng.integers(2, n - 1))
     labels = np.repeat([1, 2], [n1, n - n1])
     return LabeledPointSet(rng.random((n, 2)), labels)
+
+
+def mutual_pairs(spec, rng) -> LabeledPointSet:
+    """Stand-in for ``montecarlo.generate``: ten far-apart mutual NN pairs,
+    classes 1 then 2.  Q = 0 and R = 20, so N11 and N22 are perfectly
+    correlated and the observed Dixon block is singular."""
+    coords = [(10.0 * k + d, 0.0) for k in range(10) for d in (0.0, 0.5)]
+    return LabeledPointSet(np.array(coords), np.repeat([1, 2], 10))

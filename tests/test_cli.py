@@ -1,8 +1,11 @@
 """CLI: ingestion, analyze output schema, simulate artifacts, exit codes."""
 
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +17,10 @@ from nnct import (
     estimate_qr,
     ingest,
 )
-from nnct.cli import main
+from nnct import montecarlo
+from nnct.cli import build_parser, main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, mutual_pairs
 
 FIXTURE = str(DATA_DIR / "artificial_100.csv")
 
@@ -139,6 +143,12 @@ class TestAnalyze:
         assert rows[0][:4] == ["flavor", "statistic", "df", "p_value"]
         assert len(rows) == 1 + 4
 
+    def test_rel_cutoff_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", FIXTURE, "--rel-cutoff", "1e-8"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_exit_codes(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
         bad = write(tmp_path, "x,y,label\n0,0\n", "bad.csv")
@@ -178,13 +188,15 @@ class TestSimulate:
             "--seed", "2", "--adjusted-source", "asymptotic", "--out", prefix,
         ])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert f"wrote {prefix}.csv" in out
+        assert err == ""
         with open(prefix + ".csv", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 8
         doc = json.loads(open(prefix + ".json", encoding="utf-8").read())
         assert doc["kind"] == "size"
+        assert all(row["n_degenerate"] == 0 for row in doc["rows"])
         with open(prefix + "_plot.csv", encoding="utf-8") as fh:
             assert len(fh.read().strip().splitlines()) == 1 + 8
 
@@ -214,6 +226,21 @@ class TestSimulate:
         assert len(adjusted) == 4
         for row in adjusted:
             assert (row["q_hat"], row["r_hat"]) == (est.q_over_n * 20, est.r_over_n * 20)
+
+    def test_degenerate_replications_summarized_on_stderr(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(montecarlo, "generate", mutual_pairs)
+        prefix = str(tmp_path / "deg")
+        code = main([
+            "simulate", "size", "--combos", "10,10", "--nmc", "7", "--seed", "2",
+            "--adjusted-source", "asymptotic", "--out", prefix,
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == (f"7 undefined statistics in 1 rows counted as non-rejections; "
+                       f"see n_degenerate in {prefix}.json\n")
+        with open(prefix + ".csv", encoding="utf-8") as fh:
+            assert "n_degenerate" not in fh.readline()
 
     def test_usage_errors(self, capsys):
         assert main(["simulate", "size", "--nmc", "0"]) == 2
@@ -273,3 +300,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("nnct ")
+
+
+def _subparsers(parser):
+    """{name: subparser} of the first subcommand level of ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _long_flags(parser):
+    return {opt for action in parser._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+def test_readme_cli_block_lists_every_parser_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    # one usage entry per "nnct ..." line, with its continuation lines
+    entries = re.split(r"\n(?=nnct )", block.strip())
+    commands = _subparsers(build_parser())
+    documented = {}
+    for entry in entries:
+        words = entry.split()
+        parser = commands[words[1]]
+        name = words[1]
+        if _subparsers(parser):
+            parser, name = _subparsers(parser)[words[2]], f"{words[1]} {words[2]}"
+        flags = set(re.findall(r"--[a-z][a-z-]*", entry))
+        if "same flags" in entry:
+            flags |= documented[previous]
+        else:
+            previous = name
+        documented[name] = flags
+        assert flags == _long_flags(parser), name
+    assert set(documented) == {"analyze", "simulate size", "simulate power-seg",
+                               "simulate power-assoc", "estimate-qr"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nnct import InvalidInputError, LabeledPointSet, compute_nn
 from nnct.contingency import tabulate_pairs
-from nnct.geometry import _nn_brute, _nn_kdtree
+from nnct.geometry import _nn_brute, _nn_kdtree, structure_from_nn_index
 
 from conftest import random_point_set
 
@@ -19,30 +19,34 @@ def pts(coords, labels=None):
     return LabeledPointSet(coords, np.asarray(labels))
 
 
-@pytest.mark.parametrize("method", ["brute", "kdtree"])
+def search_nn(search, p):
+    return structure_from_nn_index(search(p.points))
+
+
+@pytest.mark.parametrize("search", [_nn_brute, _nn_kdtree], ids=["brute", "kdtree"])
 class TestHandEnumerated:
-    def test_three_point_line(self, method):
-        nns = compute_nn(pts([(0, 0), (1, 0), (3, 0)]), method=method)
+    def test_three_point_line(self, search):
+        nns = search_nn(search, pts([(0, 0), (1, 0), (3, 0)]))
         assert nns.nn_index.tolist() == [1, 0, 1]
         assert nns.R == 2
         assert nns.Q == 2  # points 0 and 2 share NN 1
 
-    def test_two_points_mutual(self, method):
-        nns = compute_nn(pts([(0, 0), (1, 1)]), method=method)
+    def test_two_points_mutual(self, search):
+        nns = search_nn(search, pts([(0, 0), (1, 1)]))
         assert nns.nn_index.tolist() == [1, 0]
         assert nns.R == 2
         assert nns.Q == 0
 
-    def test_unit_square_corners_lowest_index_ties(self, method):
-        nns = compute_nn(pts([(0, 0), (1, 0), (0, 1), (1, 1)]), method=method)
+    def test_unit_square_corners_lowest_index_ties(self, search):
+        nns = search_nn(search, pts([(0, 0), (1, 0), (0, 1), (1, 1)]))
         assert nns.nn_index.tolist() == [1, 0, 0, 1]
         assert nns.R == 2
         assert np.bincount(nns.indegree)[2] == 2  # two points serve as NN twice
         assert nns.Q == 4
 
-    def test_duplicate_points_are_valid_neighbors(self, method):
+    def test_duplicate_points_are_valid_neighbors(self, search):
         p = pts([(0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (9.0, 9.0)])
-        nns = compute_nn(p, method=method)
+        nns = search_nn(search, p)
         # coincident points pick the lowest-index duplicate
         assert nns.nn_index.tolist() == [1, 0, 0, 0]
         assert nns.R == 2
@@ -65,10 +69,6 @@ class TestValidation:
             pts([(0, 0), (1, 1)], labels=[1, 3])
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (1, 1)], labels=[1])
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidInputError):
-            compute_nn(pts([(0, 0), (1, 1)]), method="voronoi")
 
 
 def pair_list(p):

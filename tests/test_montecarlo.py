@@ -25,6 +25,8 @@ from nnct import montecarlo
 from nnct.montecarlo import _STREAM_SIZE, _rejection_chunk
 from nnct.segregation import OVERALL_FLAVORS, version_I, version_II, version_III
 
+from conftest import mutual_pairs
+
 
 class TestGenerate:
     def test_csr_shape_and_support(self):
@@ -224,7 +226,21 @@ class TestRejectionChunk:
                     expected[t, m] += test(table, model).p_value <= alpha
         got = _rejection_chunk("csr", 0.0, n1, n2, seed, alpha, q_hat, r_hat, 0, 150)
         assert expected.sum() > 0
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got[0], expected)
+        assert not got[1].any()  # no undefined statistic
+
+
+class TestDegenerateReplications:
+    def test_counted_as_non_rejections_and_kept_in_the_denominator(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "generate", mutual_pairs)
+        report = empirical_size([(10, 10)], _tiny_config(n_mc=7))
+        for row in report.rows:
+            undefined = row.flavor == "dixon_overall" and row.qr_mode == "observed"
+            assert row.n_degenerate == (7 if undefined else 0)
+            # the table [[10, 0], [0, 10]] is rejected wherever it is defined
+            assert row.rejection_rate == (0.0 if undefined else 1.0)
+        rows = json.loads(report.to_json())["rows"]
+        assert [r["n_degenerate"] for r in rows] == [r.n_degenerate for r in report.rows]
 
 
 class TestEmpiricalPower:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from nnct import (
+    CSR_Q_PER_POINT,
+    CSR_R_PER_POINT,
     ContingencyTable,
     CovarianceModel,
     DegenerateTestError,
@@ -27,7 +29,6 @@ from nnct import (
 )
 from nnct import segregation
 from nnct.contingency import cell_covariance, tabulate_pairs
-from nnct.numerics import DEFAULT_REL_CUTOFF
 from nnct.segregation import (
     _PERM_STREAM_TAG,
     CELL_FLAVORS,
@@ -161,6 +162,16 @@ class TestVersionTests:
         with pytest.raises(DegenerateTestError):
             version_I(table, m)
 
+    @pytest.mark.parametrize("qr", [(16, 12), (20 * CSR_Q_PER_POINT, 20 * CSR_R_PER_POINT)],
+                             ids=["observed", "asymptotic"])
+    def test_form_that_rounds_below_zero_is_zero(self, qr):
+        # version III's deviation (2, 2, -2, -2)/19 lies in the null space of
+        # sigma; unclamped, its form rounded to about -5e-19 and -1.2e-19
+        results = run_battery_from_table(ContingencyTable.from_counts([[2, 3], [7, 8]]), *qr)
+        assert results[3].statistic == 0.0
+        assert results[3].p_value == 1.0
+        assert all(r.statistic > 0.0 for r in results[:3])
+
     def test_statistics_nonnegative(self):
         rng = np.random.default_rng(37)
         for _ in range(40):
@@ -237,10 +248,9 @@ class TestKernel:
         order = np.random.default_rng(67).permutation(len(counts))
         for shared in (False, True):
             sigma = sigmas[0] if shared else sigmas[order]
-            stacked = _statistic_only(flavor, counts[order], sigma, DEFAULT_REL_CUTOFF)
+            stacked = _statistic_only(flavor, counts[order], sigma)
             single = [
-                _statistic_only(flavor, counts[k][None], sigmas[0 if shared else k],
-                                DEFAULT_REL_CUTOFF)[0]
+                _statistic_only(flavor, counts[k][None], sigmas[0 if shared else k])[0]
                 for k in order
             ]
             assert np.isfinite(stacked).all()
@@ -252,20 +262,20 @@ class TestKernel:
         # correlated; the middle table also has a zero column sum
         sigma = cell_covariance(10, 10, 20, [12.0, 0.0, 14.0], [12.0, 20.0, 12.0])
         for flavor, sig in (("dixon_overall", sigma), ("version_I", sigma[0])):
-            stats = _statistic_only(flavor, counts, sig, DEFAULT_REL_CUTOFF)
+            stats = _statistic_only(flavor, counts, sig)
             assert np.isnan(stats[1])
             kept = _statistic_only(flavor, counts[[0, 2]],
-                                   sig[[0, 2]] if sig.ndim == 3 else sig, DEFAULT_REL_CUTOFF)
+                                   sig[[0, 2]] if sig.ndim == 3 else sig)
             assert np.isfinite(kept).all()
             assert stats[[0, 2]].tobytes() == kept.tobytes()
 
     def test_validation(self):
         counts, sigmas = self.stack(2)
         with pytest.raises(InvalidInputError):
-            _statistic_only("no_such_test", counts, sigmas, DEFAULT_REL_CUTOFF)
+            _statistic_only("no_such_test", counts, sigmas)
         mixed = np.array([[[6, 4], [3, 7]], [[5, 6], [4, 5]]])  # row sums differ
         with pytest.raises(InvalidInputError):
-            _statistic_only("dixon_overall", mixed, sigmas[0], DEFAULT_REL_CUTOFF)
+            _statistic_only("dixon_overall", mixed, sigmas[0])
 
 
 def perm_stream(seed, labels, n_perm):
