@@ -4,6 +4,11 @@ Subcommands: ``analyze`` (test battery on a point file), ``simulate size`` /
 ``power-seg`` / ``power-assoc`` (Monte Carlo studies), ``estimate-qr``
 (CSR expectations of Q/n and R/n).
 
+Each option's type, choices and default sit on its argparse action.  The
+``key = value`` (or ``key: value``) lines of a ``--config`` file pass the same
+conversion and checks and become the chosen subcommand's defaults, so explicit
+flags still win; keys that name none of its options are ignored.
+
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 invalid input,
 5 degenerate test.
 """
@@ -11,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 parse error, 4 invalid input,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -55,49 +61,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="run the test battery on a point file")
+    pa.set_defaults(run=_cmd_analyze, parser=pa)
     pa.add_argument("input", help="CSV file with columns x,y,label")
-    pa.add_argument("--qr-mode", dest="qr_mode",
+    pa.add_argument("--qr-mode", dest="qr_mode", default="observed",
                     choices=["observed", "adjusted", "adjusted-asymptotic"])
-    pa.add_argument("--nmc", type=int,
+    pa.add_argument("--nmc", type=int, default=10000,
                     help="replications for the adjusted-mode Q/R estimate")
-    pa.add_argument("--seed", type=int)
-    pa.add_argument("--cells", action="store_true", default=None,
+    pa.add_argument("--seed", type=int, default=1)
+    pa.add_argument("--cells", action="store_true",
                     help="include the four cell-specific Z tests")
-    pa.add_argument("--sided", choices=["two", "greater", "less"],
+    pa.add_argument("--sided", choices=list(_SIDED), default="two",
                     help="sidedness of the cell Z tests")
-    pa.add_argument("--format", choices=["json", "csv"])
+    pa.add_argument("--format", choices=["json", "csv"], default="json")
     pa.add_argument("--classes", help="comma-separated labels mapping to classes 1,2")
-    pa.add_argument("--no-header", dest="no_header", action="store_true", default=None,
+    pa.add_argument("--no-header", dest="no_header", action="store_true",
                     help="treat the first row as data")
-    pa.add_argument("--delimiter")
+    pa.add_argument("--delimiter", default=",")
     pa.add_argument("--config", help="key=value file supplying flag defaults")
 
     ps = sub.add_parser("simulate", help="Monte Carlo size and power studies")
     ssub = ps.add_subparsers(dest="subcommand", required=True)
     for name in ("size", "power-seg", "power-assoc"):
         q = ssub.add_parser(name)
+        q.set_defaults(run=_cmd_simulate, parser=q)
         q.add_argument("--combos", nargs="+", metavar="N1,N2",
+                       default=[f"{n1},{n2}" for n1, n2 in PAPER_COMBOS],
                        help="class size combinations (default: the 12 standard ones)")
-        q.add_argument("--nmc", type=int)
-        q.add_argument("--seed", type=int)
-        q.add_argument("--alpha", type=float)
-        q.add_argument("--workers", type=int)
-        q.add_argument("--qr-nmc", dest="qr_nmc", type=int,
+        q.add_argument("--nmc", type=int, default=10000 if name == "size" else 1000)
+        q.add_argument("--seed", type=int, default=1)
+        q.add_argument("--alpha", type=float, default=0.05)
+        q.add_argument("--workers", type=int, default=1)
+        q.add_argument("--qr-nmc", dest="qr_nmc", type=int, default=10000,
                        help="replications for the per-n adjusted Q/R estimates")
-        q.add_argument("--adjusted-source", dest="adjusted_source",
+        q.add_argument("--adjusted-source", dest="adjusted_source", default="estimate",
                        choices=["estimate", "asymptotic"])
-        q.add_argument("--out", help="output path prefix")
+        q.add_argument("--out", default=name.replace("-", "_"),
+                       help="output path prefix")
         q.add_argument("--config")
         if name == "power-seg":
-            q.add_argument("--s", help="comma-separated offsets, fractions allowed")
+            q.add_argument("--s", default="1/6,1/4,1/3",
+                           help="comma-separated offsets, fractions allowed")
         if name == "power-assoc":
-            q.add_argument("--r", help="comma-separated radii, fractions allowed")
+            q.add_argument("--r", default="1/4,1/7,1/10",
+                           help="comma-separated radii, fractions allowed")
 
     pe = sub.add_parser("estimate-qr", help="estimate E[Q/n], E[R/n] under CSR")
+    pe.set_defaults(run=_cmd_estimate_qr, parser=pe)
     pe.add_argument("--n", help="comma-separated sample sizes")
-    pe.add_argument("--nmc", type=int)
-    pe.add_argument("--seed", type=int)
-    pe.add_argument("--workers", type=int)
+    pe.add_argument("--nmc", type=int, default=10000)
+    pe.add_argument("--seed", type=int, default=1)
+    pe.add_argument("--workers", type=int, default=1)
     pe.add_argument("--config")
     return p
 
@@ -113,13 +126,11 @@ def _load_config(path: str) -> dict[str, str]:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, val = line.split(sep, 1)
-                    break
-            else:
+            # the first "=" or ":" ends the key; the value may hold either
+            key, *val = re.split("[=:]", line, maxsplit=1)
+            if not val:
                 raise ParseError(f"{path}:{lineno}: expected key=value")
-            cfg[key.strip().replace("-", "_")] = val.strip()
+            cfg[key.strip().replace("-", "_")] = val[0].strip()
     return cfg
 
 
@@ -129,20 +140,34 @@ def _as_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"cannot interpret {text!r} as a boolean")
+    raise ValueError(f"cannot interpret {text!r} as a boolean")
 
 
-def _get(args, cfg, key, cast, default):
-    """Flag value if given, else config file value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
+def _config_defaults(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> dict:
+    """Config values for the options of ``parser``, converted and checked as
+    its own actions convert and check a flag's value.  Other keys are
+    ignored."""
+    defaults = {}
+    for action in parser._actions:
+        if not action.option_strings or action.dest not in cfg:
+            continue
+        text = cfg[action.dest]
         try:
-            return cast(cfg[key])
-        except (ValueError, TypeError) as e:
-            raise _UsageError(f"config value for {key}: {e}")
-    return default
+            if isinstance(action, argparse._StoreTrueAction):
+                value = _as_bool(text)
+            elif action.nargs == "+":
+                value = text.split()
+                if not value:
+                    raise ValueError("expected at least one value")
+            else:
+                value = (action.type or str)(text)
+        except ValueError as e:
+            raise _UsageError(f"config value for {action.dest}: {e}")
+        if action.choices is not None and value not in action.choices:
+            raise _UsageError(f"config value for {action.dest}: {value!r} is not one "
+                              f"of {', '.join(map(str, action.choices))}")
+        defaults[action.dest] = value
+    return defaults
 
 
 def _parse_fraction_list(text: str, what: str) -> list[float]:
@@ -153,8 +178,6 @@ def _parse_fraction_list(text: str, what: str) -> list[float]:
             out.append(float(Fraction(item)))
         except (ValueError, ZeroDivisionError):
             raise _UsageError(f"cannot parse {what} value {item!r}")
-    if not out:
-        raise _UsageError(f"empty {what} list")
     return out
 
 
@@ -172,53 +195,41 @@ def _parse_combos(items) -> list[tuple[int, int]]:
     return combos
 
 
-def _cmd_analyze(args, cfg) -> int:
-    fmt = _get(args, cfg, "format", str, "json")
-    seed = _get(args, cfg, "seed", int, 1)
-    nmc = _get(args, cfg, "nmc", int, 10000)
-    mode = _get(args, cfg, "qr_mode", str, "observed")
-    sided = _SIDED.get(_get(args, cfg, "sided", str, "two"))
-    if sided is None:
-        raise _UsageError("--sided must be two, greater, or less")
-    delim = _get(args, cfg, "delimiter", str, ",")
-    if delim in _TAB_NAMES:
-        delim = "\t"
+def _cmd_analyze(args) -> int:
+    delim = "\t" if args.delimiter in _TAB_NAMES else args.delimiter
     try:
         check_delimiter(delim)
     except InvalidInputError as e:
         raise _UsageError(str(e))
-    no_header = _get(args, cfg, "no_header", _as_bool, False)
-    with_cells = _get(args, cfg, "cells", _as_bool, False)
-    classes_opt = _get(args, cfg, "classes", str, None)
     classes = None
-    if classes_opt:
-        parts = tuple(s.strip() for s in classes_opt.split(","))
-        if len(parts) != 2:
+    if args.classes:
+        classes = tuple(s.strip() for s in args.classes.split(","))
+        if len(classes) != 2:
             raise _UsageError("--classes needs exactly two comma-separated labels")
-        classes = parts
-    if nmc < 1:
-        raise _UsageError(f"--nmc must be >= 1, got {nmc}")
+    if args.nmc < 1:
+        raise _UsageError(f"--nmc must be >= 1, got {args.nmc}")
 
-    pts = ingest(args.input, has_header=not no_header, delimiter=delim, classes=classes)
+    pts = ingest(args.input, has_header=not args.no_header, delimiter=delim,
+                 classes=classes)
     nns = compute_nn(pts)
     table = build_nnct(pts, nns)
-    if mode == "observed":
+    if args.qr_mode == "observed":
         q_used, r_used = float(nns.Q), float(nns.R)
     else:
-        source = "asymptotic" if mode == "adjusted-asymptotic" else "estimate"
-        q_used, r_used = adjusted_qr(pts.n, source, nmc, seed)
+        source = "asymptotic" if args.qr_mode == "adjusted-asymptotic" else "estimate"
+        q_used, r_used = adjusted_qr(pts.n, source, args.nmc, args.seed)
 
-    results = run_battery_from_table(table, q_used, r_used, sided)
-    tests = results[:4] if not with_cells else results
+    results = run_battery_from_table(table, q_used, r_used, _SIDED[args.sided])
+    tests = results if args.cells else results[:4]
     n1, n2 = pts.class_sizes
     rep = AnalysisReport(
         n=pts.n, n1=n1, n2=n2,
         duplicate_points=pts.has_duplicate_points(),
         table=table, q=nns.Q, r=nns.R,
-        qr_mode=mode, q_used=q_used, r_used=r_used,
-        tests=tuple(tests), seed=seed, version=__version__,
+        qr_mode=args.qr_mode, q_used=q_used, r_used=r_used,
+        tests=tuple(tests), seed=args.seed, version=__version__,
     )
-    if fmt == "json":
+    if args.format == "json":
         sys.stdout.write(rep.to_json() + "\n")
     else:
         rep.write_csv(sys.stdout)
@@ -236,48 +247,34 @@ def _write_report(report, prefix: str) -> list[str]:
     return paths
 
 
-def _cmd_simulate(args, cfg) -> int:
-    sub = args.subcommand
-    default_nmc = 10000 if sub == "size" else 1000
-    nmc = _get(args, cfg, "nmc", int, default_nmc)
-    seed = _get(args, cfg, "seed", int, 1)
-    alpha = _get(args, cfg, "alpha", float, 0.05)
-    workers = _get(args, cfg, "workers", int, 1)
-    qr_nmc = _get(args, cfg, "qr_nmc", int, 10000)
-    source = _get(args, cfg, "adjusted_source", str, "estimate")
-    combos_opt = _get(args, cfg, "combos", lambda s: s.split(), None)
-    combos = _parse_combos(combos_opt) if combos_opt else list(PAPER_COMBOS)
-    if nmc < 1:
-        raise _UsageError(f"--nmc must be >= 1, got {nmc}")
-    if not (0.0 < alpha < 1.0):
-        raise _UsageError(f"--alpha must be in (0, 1), got {alpha}")
+def _cmd_simulate(args) -> int:
+    combos = _parse_combos(args.combos)
+    if not (0.0 < args.alpha < 1.0):
+        raise _UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     try:
         config = SimulationConfig(
-            n_mc=nmc, seed=seed, alpha=alpha, parallelism=workers,
-            adjusted_source=source, qr_estimate_nmc=qr_nmc,
+            n_mc=args.nmc, seed=args.seed, alpha=args.alpha, parallelism=args.workers,
+            adjusted_source=args.adjusted_source, qr_estimate_nmc=args.qr_nmc,
         )
     except InvalidInputError as e:
         raise _UsageError(str(e))
 
-    if sub == "size":
+    if args.subcommand == "size":
         report = empirical_size(combos, config)
-        prefix = _get(args, cfg, "out", str, "size")
-    elif sub == "power-seg":
-        values = _parse_fraction_list(_get(args, cfg, "s", str, "1/6,1/4,1/3"), "--s")
+    elif args.subcommand == "power-seg":
+        values = _parse_fraction_list(args.s, "--s")
         for v in values:
             if not (0.0 <= v < 1.0):
                 raise _UsageError(f"--s values must be in [0, 1), got {v}")
         report = empirical_power([("segregation", v) for v in values], combos, config)
-        prefix = _get(args, cfg, "out", str, "power_seg")
     else:
-        values = _parse_fraction_list(_get(args, cfg, "r", str, "1/4,1/7,1/10"), "--r")
+        values = _parse_fraction_list(args.r, "--r")
         for v in values:
             if not (0.0 < v < 1.0):
                 raise _UsageError(f"--r values must be in (0, 1), got {v}")
         report = empirical_power([("association", v) for v in values], combos, config)
-        prefix = _get(args, cfg, "out", str, "power_assoc")
 
-    paths = _write_report(report, prefix)
+    paths = _write_report(report, args.out)
     for path in paths:
         print(f"wrote {path}")
     counts = [r.n_degenerate for r in report.rows if r.n_degenerate]
@@ -287,24 +284,22 @@ def _cmd_simulate(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate_qr(args, cfg) -> int:
-    ns_opt = _get(args, cfg, "n", str, None)
-    if not ns_opt:
+def _cmd_estimate_qr(args) -> int:
+    if not args.n:
         raise _UsageError("estimate-qr needs --n (comma-separated sample sizes)")
     try:
-        ns = [int(x) for x in ns_opt.split(",")]
+        ns = [int(x) for x in args.n.split(",")]
     except ValueError:
-        raise _UsageError(f"cannot parse --n list {ns_opt!r}")
-    nmc = _get(args, cfg, "nmc", int, 10000)
-    seed = _get(args, cfg, "seed", int, 1)
-    workers = _get(args, cfg, "workers", int, 1)
-    if nmc < 1:
-        raise _UsageError(f"--nmc must be >= 1, got {nmc}")
+        raise _UsageError(f"cannot parse --n list {args.n!r}")
     if any(n < 2 for n in ns):
         raise _UsageError("--n values must be >= 2")
-    print("n,n_mc,q_over_n,r_over_n,se_q,se_r")
-    for n in ns:
-        est = estimate_qr(n, nmc, seed, workers=workers)
+    for i, n in enumerate(ns):
+        try:
+            est = estimate_qr(n, args.nmc, args.seed, workers=args.workers)
+        except InvalidInputError as e:
+            raise _UsageError(str(e))
+        if i == 0:  # after the first call, which rejects a bad --nmc or --workers
+            print("n,n_mc,q_over_n,r_over_n,se_q,se_r")
         print(f"{est.n},{est.n_mc},{est.q_over_n!r},{est.r_over_n!r},"
               f"{est.se_q!r},{est.se_r!r}")
     return EXIT_OK
@@ -314,12 +309,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-        if args.command == "analyze":
-            return _cmd_analyze(args, cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        return _cmd_estimate_qr(args, cfg)
+        if args.config:
+            # config values become the chosen subcommand's defaults, so the
+            # flags of a second parse still win
+            args.parser.set_defaults(**_config_defaults(args.parser,
+                                                        _load_config(args.config)))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

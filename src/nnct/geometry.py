@@ -27,7 +27,6 @@ from .errors import InvalidInputError
 # brute force is faster up to n = 60 (122 vs 132 us) and the kd-tree from
 # n = 70 (145 vs 169 us); they break even near 64.
 _BRUTE_FORCE_MAX = 64
-_BRUTE_BLOCK_ENTRIES = 1 << 21
 # first candidate count of the tie repair: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
 _REPAIR_K0 = 8
@@ -95,18 +94,11 @@ class NNStructure:
 
 def _nn_brute(coords: np.ndarray) -> np.ndarray:
     """O(n^2) nearest neighbor indices; ties resolve to the lowest index."""
-    n = coords.shape[0]
-    nn = np.empty(n, dtype=np.intp)
-    block = max(1, _BRUTE_BLOCK_ENTRIES // n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        # argmin returns the first minimum, i.e. the lowest index on ties
-        nn[start:stop] = np.argmin(d2, axis=1)
-    return nn
+    diff = coords[:, None, :] - coords[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    # argmin returns the first minimum, i.e. the lowest index on ties
+    return np.argmin(d2, axis=1)
 
 
 def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

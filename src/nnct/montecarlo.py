@@ -273,6 +273,8 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
         raise InvalidInputError(f"need n >= 2, got {n}")
     if n_mc < 1:
         raise InvalidInputError(f"n_mc must be >= 1, got {n_mc}")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
     qs = np.concatenate([p[0] for p in parts])
     rs = np.concatenate([p[1] for p in parts])

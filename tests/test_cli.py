@@ -263,6 +263,13 @@ class TestEstimateQrCommand:
         assert main(["estimate-qr"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one(self, capsys, workers):
+        assert main(["estimate-qr", "--n", "10", "--nmc", "20", "--workers", workers]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: workers must be >= 1")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -293,6 +300,62 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert main(["analyze", FIXTURE, "--config", str(cfg)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["qr_mode = obsrved", "format = xml", "sided = both",
+                                      "seed = 1.5", "cells = maybe"])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["analyze", FIXTURE, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: config value for {line.split()[0]}: ")
+
+    def test_config_ignores_keys_of_other_commands(self, tmp_path, capsys):
+        assert main(["analyze", FIXTURE]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("workers = many\ncombos = 1\ninput = elsewhere.csv\n")
+        assert main(["analyze", FIXTURE, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("cells", ["yes", "no"])
+    def test_analyze_config_same_bytes_as_flags(self, tmp_path, capsys, cells):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            headless = write(tmp_path, fh.read().split("\n", 1)[1], "headless.csv")
+        flags = ["--no-header", "--sided", "less"] + (["--cells"] if cells == "yes" else [])
+        assert main(["analyze", headless, *flags]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_header = yes\ncells = {cells}\nsided: less\n")
+        assert main(["analyze", headless, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_simulate_config_same_bytes_as_flags(self, tmp_path, capsys):
+        common = ["simulate", "size", "--nmc", "30", "--seed", "3",
+                  "--adjusted-source", "asymptotic"]
+        flag_prefix = str(tmp_path / "flags")
+        assert main([*common, "--combos", "10,10", "12,8", "--alpha", "0.1",
+                     "--out", flag_prefix]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg_prefix = str(tmp_path / "cfg")
+        cfg.write_text(f"combos = 10,10 12,8\nalpha = 0.1\nout = {cfg_prefix}\n")
+        assert main([*common, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        for suffix in (".csv", ".json", "_plot.csv"):
+            assert (Path(cfg_prefix + suffix).read_bytes()
+                    == Path(flag_prefix + suffix).read_bytes())
+
+    def test_line_splits_at_first_separator(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out: {tmp_path}/d/run=1\nnmc = 5\ncombos = 10,10\n"
+                       "adjusted_source = asymptotic\n")
+        assert main(["simulate", "size", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "d" / "run=1.csv").exists()
+        assert not (tmp_path / "size.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -114,6 +114,13 @@ class TestEstimateQR:
         with pytest.raises(InvalidInputError):
             adjusted_qr(10, "oracle", 10, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(InvalidInputError, match="workers"):
+            estimate_qr(10, 20, 1, workers=workers)
+        with pytest.raises(InvalidInputError, match="workers"):
+            adjusted_qr(10, "estimate", 20, 1, workers=workers)
+
     def test_one_estimate_per_total_n(self, monkeypatch):
         calls = []
 
