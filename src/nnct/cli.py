@@ -217,7 +217,10 @@ def _cmd_analyze(args) -> int:
         q_used, r_used = float(nns.Q), float(nns.R)
     else:
         source = "asymptotic" if args.qr_mode == "adjusted-asymptotic" else "estimate"
-        q_used, r_used = adjusted_qr(pts.n, source, args.nmc, args.seed)
+        try:
+            q_used, r_used = adjusted_qr(pts.n, source, args.nmc, args.seed)
+        except InvalidInputError as e:  # a negative --seed
+            raise _UsageError(str(e))
 
     results = run_battery_from_table(table, q_used, r_used, _SIDED[args.sided])
     tests = results if args.cells else results[:4]

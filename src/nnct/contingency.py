@@ -65,7 +65,9 @@ def tabulate_pairs(labels: np.ndarray, nn_index: np.ndarray) -> np.ndarray:
     """Raw 2x2 table of (base label, NN label) pair counts.
 
     ``labels`` may also be a ``(..., n)`` stack of labelings of the same
-    digraph (class 1 marked by 1 or True), giving a ``(..., 2, 2)`` stack.
+    digraph (class 1 marked by 1 or True), and ``nn_index`` a ``(..., n)``
+    stack of digraphs sharing one labeling; either gives a ``(..., 2, 2)``
+    stack of tables.
     """
     base1 = np.asarray(labels) == 1
     nn1 = base1[..., nn_index]

@@ -23,10 +23,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17):
-# brute force is faster up to n = 60 (122 vs 132 us) and the kd-tree from
-# n = 70 (145 vs 169 us); they break even near 64.
-_BRUTE_FORCE_MAX = 64
+# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17),
+# per set, brute force in the stacks the Monte Carlo engine searches vs the
+# kd-tree, alternating: 87-89 vs 210-231 us at n = 128, 204-229 vs
+# 249-327 us at n = 192, 288-302 vs 324-335 us at n = 224, even at n = 256
+# and 493-553 vs 381-431 us at n = 288.  The cutover keeps a margin below
+# the break-even point, since brute force grows as n^2.
+_BRUTE_FORCE_MAX = 192
+# (sets x n x n) squared distances per block of the brute-force search:
+# 2^14 (128 kB temporaries) beat 2^12, 2^13 and 2^15 at n = 10-128
+_BRUTE_BLOCK_ENTRIES = 1 << 14
 # first candidate count of the tie repair: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
 _REPAIR_K0 = 8
@@ -93,12 +99,29 @@ class NNStructure:
 
 
 def _nn_brute(coords: np.ndarray) -> np.ndarray:
-    """O(n^2) nearest neighbor indices; ties resolve to the lowest index."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    # argmin returns the first minimum, i.e. the lowest index on ties
-    return np.argmin(d2, axis=1)
+    """O(n^2) nearest neighbor indices of one ``(n, 2)`` set or of each set
+    of an ``(..., n, 2)`` stack; ties resolve to the lowest index.
+
+    Squared distances are ``dx*dx + dy*dy``.  The sets go through in blocks
+    whose ``(sets, n, n)`` temporaries hold about ``_BRUTE_BLOCK_ENTRIES``
+    entries.
+    """
+    n = coords.shape[-2]
+    flat = coords.reshape(-1, n, 2)
+    nn = np.empty(flat.shape[:2], dtype=np.intp)
+    step = max(1, _BRUTE_BLOCK_ENTRIES // (n * n))
+    for start in range(0, flat.shape[0], step):
+        x = flat[start:start + step, :, 0]
+        y = flat[start:start + step, :, 1]
+        d2 = x[:, :, None] - x[:, None, :]
+        d2 *= d2
+        dy = y[:, :, None] - y[:, None, :]
+        dy *= dy
+        d2 += dy
+        d2.reshape(-1, n * n)[:, ::n + 1] = np.inf  # no point is its own NN
+        # argmin returns the first minimum, i.e. the lowest index on ties
+        d2.argmin(axis=-1, out=nn[start:start + step])
+    return nn.reshape(coords.shape[:-1])
 
 
 def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +245,30 @@ def _nn_indices(coords: np.ndarray) -> np.ndarray:
     return _nn_kdtree(coords)
 
 
-def digraph_q_r(nn: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """In-degrees, Q and R of the NN digraph given by intp indices ``nn``."""
-    n = nn.shape[0]
-    indegree = np.bincount(nn, minlength=n)
-    q = int(np.sum(indegree * (indegree - 1)))
-    r = int(np.count_nonzero(nn[nn] == np.arange(n)))
+def _nn_stack(coords: np.ndarray) -> np.ndarray:
+    """NN indices of each set of a ``(sets, n, 2)`` stack: one brute-force
+    search of the whole stack up to ``_BRUTE_FORCE_MAX`` points, the
+    single-set ``_nn_indices`` on each set above."""
+    if coords.shape[-2] <= _BRUTE_FORCE_MAX:
+        return _nn_brute(coords)
+    return np.stack([_nn_indices(c) for c in coords])
+
+
+def digraph_q_r(nn: np.ndarray) -> tuple[np.ndarray, int | np.ndarray, int | np.ndarray]:
+    """In-degrees, Q and R of the NN digraph given by intp indices ``nn``.
+
+    ``nn`` may also be an ``(..., n)`` stack of digraphs; the in-degrees
+    then have its shape, and Q and R are ``(...)`` integer arrays.
+    """
+    n = nn.shape[-1]
+    sets = nn.size // n
+    # one bincount over all sets, each set's targets shifted into its own range
+    shifted = nn.reshape(sets, n) + np.arange(0, sets * n, n)[:, None]
+    indegree = np.bincount(shifted.ravel(), minlength=sets * n).reshape(nn.shape)
+    q = np.sum(indegree * (indegree - 1), axis=-1)
+    r = np.count_nonzero(np.take_along_axis(nn, nn, axis=-1) == np.arange(n), axis=-1)
+    if nn.ndim == 1:
+        return indegree, int(q), int(r)
     return indegree, q, r
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
 from .errors import InvalidInputError
-from .geometry import LabeledPointSet, _nn_indices, digraph_q_r
+from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
 
@@ -40,6 +40,10 @@ _STREAM_SIZE = 2
 _STREAM_POWER = 3
 _ALT_CODES = {"segregation": 11, "association": 12}
 _CHUNK = 500
+# coordinates per sub-block of a chunk: the points of a few replications are
+# drawn, stacked and searched together, and a chunk's memory stays that of
+# one sub-block at any n
+_DRAW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,9 @@ class SimulationConfig:
             raise InvalidInputError("seed must be a nonnegative integer")
         if self.parallelism < 1:
             raise InvalidInputError("parallelism must be >= 1")
+        if self.qr_estimate_nmc < 1:
+            raise InvalidInputError(
+                f"qr_estimate_nmc must be >= 1, got {self.qr_estimate_nmc}")
         if self.adjusted_source not in ("estimate", "asymptotic"):
             raise InvalidInputError(f"unknown adjusted_source {self.adjusted_source!r}")
 
@@ -228,6 +235,22 @@ def _band_flag(rate: float, band: tuple[float, float]) -> str:
     return "ok"
 
 
+def _digraphs(draw, n: int, lo: int, hi: int):
+    """NN digraphs of replications [lo, hi) of ``n`` points each.
+
+    ``draw(rep)`` returns the ``(n, 2)`` points of replication ``rep``
+    from that replication's own stream.  Yields ``(rows, nn, q, r)`` per
+    sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)`` NN
+    indices and their Q and R.
+    """
+    step = max(1, _DRAW_BLOCK // (2 * n))
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        nn = _nn_stack(np.stack([draw(rep) for rep in range(start, stop)]))
+        _, q, r = digraph_q_r(nn)
+        yield slice(start - lo, stop - lo), nn, q, r
+
+
 def _run_chunks(worker, n_mc: int, workers: int) -> list:
     """Run worker(lo, hi) over fixed chunks of the replication range and
     return the parts in chunk order (deterministic reduction)."""
@@ -257,11 +280,13 @@ class QREstimate:
 def _qr_chunk(n: int, seed: int, lo: int, hi: int):
     qs = np.empty(hi - lo)
     rs = np.empty(hi - lo)
-    for t, rep in enumerate(range(lo, hi)):
-        rng = np.random.default_rng([seed, _STREAM_QR, n, rep])
-        _, q, r = digraph_q_r(_nn_indices(rng.random((n, 2))))
-        qs[t] = q / n
-        rs[t] = r / n
+
+    def draw(rep):
+        return np.random.default_rng([seed, _STREAM_QR, n, rep]).random((n, 2))
+
+    for rows, _, q, r in _digraphs(draw, n, lo, hi):
+        qs[rows] = q / n
+        rs[rows] = r / n
     return qs, rs
 
 
@@ -275,6 +300,8 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
         raise InvalidInputError(f"n_mc must be >= 1, got {n_mc}")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise InvalidInputError("seed must be a nonnegative integer")
     parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
     qs = np.concatenate([p[0] for p in parts])
     rs = np.concatenate([p[1] for p in parts])
@@ -305,17 +332,20 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
         entropy = (seed, _STREAM_POWER, _ALT_CODES[kind],
                    int(round(param * 1e9)), n1, n2)
     reps = hi - lo
+    n = n1 + n2
+    labels = np.repeat([1, 2], [n1, n2])
     counts = np.empty((reps, 2, 2), dtype=np.int64)
     q_obs = np.empty(reps)
     r_obs = np.empty(reps)
-    for t, rep in enumerate(range(lo, hi)):
-        rng = np.random.default_rng([*entropy, rep])
-        pts = generate(spec, rng)
-        nn = _nn_indices(pts.points)
-        _, q_obs[t], r_obs[t] = digraph_q_r(nn)
-        counts[t] = tabulate_pairs(pts.labels, nn)
+
+    def draw(rep):
+        return generate(spec, np.random.default_rng([*entropy, rep])).points
+
+    for rows, nn, q, r in _digraphs(draw, n, lo, hi):
+        q_obs[rows] = q
+        r_obs[rows] = r
+        counts[rows] = tabulate_pairs(labels, nn)
     # both modes in one stack: observed rows first, then adjusted rows
-    n = n1 + n2
     sigma = np.concatenate([
         cell_covariance(n1, n2, n, q_obs, r_obs),
         np.broadcast_to(cell_covariance(n1, n2, n, q_hat, r_hat), (reps, 4, 4)),

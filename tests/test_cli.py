@@ -85,6 +85,13 @@ class TestAnalyze:
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
+    def test_adjusted_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["analyze", FIXTURE, "--qr-mode", "adjusted", "--nmc", "5",
+                     "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: seed must be a nonnegative integer\n"
+
     def test_fixture_observed(self, capsys):
         doc = self.run_json(capsys, FIXTURE)
         assert doc["schema_version"] == 1
@@ -242,6 +249,15 @@ class TestSimulate:
         with open(prefix + ".csv", encoding="utf-8") as fh:
             assert "n_degenerate" not in fh.readline()
 
+    @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
+    def test_qr_nmc_below_one_is_a_usage_error(self, tmp_path, capsys, source):
+        assert main(["simulate", "size", "--combos", "10,10", "--nmc", "5",
+                     "--qr-nmc", "0", "--adjusted-source", source,
+                     "--out", str(tmp_path / "size")]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: qr_estimate_nmc must be >= 1, got 0\n")
+        assert not list(tmp_path.iterdir())
+
     def test_usage_errors(self, capsys):
         assert main(["simulate", "size", "--nmc", "0"]) == 2
         assert main(["simulate", "size", "--combos", "10"]) == 2
@@ -269,6 +285,12 @@ class TestEstimateQrCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: workers must be >= 1")
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["estimate-qr", "--n", "10", "--nmc", "5", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: seed must be a nonnegative integer\n"
 
 
 class TestConfigFile:

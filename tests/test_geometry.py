@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from nnct import InvalidInputError, LabeledPointSet, compute_nn
 from nnct.contingency import tabulate_pairs
-from nnct.geometry import _nn_brute, _nn_kdtree, structure_from_nn_index
+from nnct.geometry import (
+    _BRUTE_FORCE_MAX,
+    _nn_brute,
+    _nn_kdtree,
+    digraph_q_r,
+    structure_from_nn_index,
+)
 
 from conftest import random_point_set
 
@@ -228,3 +234,56 @@ class TestTieRepair:
     def test_duplicate_flag(self):
         assert not pts([(0, 0), (1, 0), (0, 1)]).has_duplicate_points()
         assert pts([(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)]).has_duplicate_points()
+
+
+# ---------------------------------------------------------------------------
+# stacked search: one brute-force call over many sets, as the Monte Carlo
+# engine makes it, must give each set's own lowest-index NN
+
+
+@st.composite
+def point_stacks(draw):
+    """A stack of equal-sized sets, random, gridded, duplicated or 1e-200
+    apart (squared distances underflow to 0), up to just past the cutover."""
+    n = draw(st.integers(2, _BRUTE_FORCE_MAX + 1))
+    sets = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "grid", "duplicates", "underflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.random((sets, n, 2))
+    if kind == "grid":
+        return rng.integers(-6, 7, (sets, n, 2)).astype(float)
+    if kind == "duplicates":
+        return rng.integers(0, 3, (sets, n, 2)) * 0.25
+    return rng.integers(-2, 3, (sets, n, 2)) * 1e-200
+
+
+class TestStackedSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(point_stacks())
+    def test_stacked_brute_matches_kdtree_per_set(self, stack):
+        nn = _nn_brute(stack)
+        assert nn.shape == stack.shape[:-1]
+        assert np.array_equal(nn, np.stack([_nn_kdtree(c) for c in stack]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_stacks())
+    def test_stacked_q_r_matches_each_set(self, stack):
+        nn = _nn_brute(stack)
+        indegree, q, r = digraph_q_r(nn)
+        for k, row in enumerate(nn):
+            one = digraph_q_r(row)
+            assert np.array_equal(indegree[k], one[0])
+            assert (q[k], r[k]) == one[1:]
+            assert type(one[1]) is int and type(one[2]) is int
+
+    def test_many_blocks_and_leading_axes(self):
+        # 600 sets of 10 points span several blocks of the search
+        stack = np.random.default_rng(21).random((3, 200, 10, 2))
+        nn = _nn_brute(stack)
+        assert nn.shape == (3, 200, 10)
+        per_set = np.array([_nn_kdtree(c) for c in stack.reshape(-1, 10, 2)])
+        assert np.array_equal(nn.reshape(-1, 10), per_set)
+        _, q, r = digraph_q_r(nn)
+        assert q.shape == r.shape == (3, 200)
+        assert q[2, 7] == digraph_q_r(nn[2, 7])[1]

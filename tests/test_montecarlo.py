@@ -2,12 +2,14 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nnct import (
     InvalidInputError,
+    LabeledPointSet,
     PatternSpec,
     SimulationConfig,
     adjusted_qr,
@@ -22,7 +24,16 @@ from nnct import (
     size_band,
 )
 from nnct import montecarlo
-from nnct.montecarlo import _STREAM_SIZE, _rejection_chunk
+from nnct.errors import DegenerateTestError
+from nnct.geometry import _BRUTE_FORCE_MAX
+from nnct.montecarlo import (
+    _ALT_CODES,
+    _STREAM_POWER,
+    _STREAM_QR,
+    _STREAM_SIZE,
+    _qr_chunk,
+    _rejection_chunk,
+)
 from nnct.segregation import OVERALL_FLAVORS, version_I, version_II, version_III
 
 from conftest import mutual_pairs
@@ -114,6 +125,12 @@ class TestEstimateQR:
         with pytest.raises(InvalidInputError):
             adjusted_qr(10, "oracle", 10, seed=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed must be a nonnegative"):
+            estimate_qr(10, 5, seed=-1)
+        with pytest.raises(InvalidInputError, match="seed must be a nonnegative"):
+            adjusted_qr(10, "estimate", 5, seed=-1)
+
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one(self, workers):
         with pytest.raises(InvalidInputError, match="workers"):
@@ -177,6 +194,11 @@ class TestSimulationConfig:
         with pytest.raises(InvalidInputError):
             SimulationConfig(n_mc=10, seed=1, adjusted_source="oracle")
 
+    @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
+    def test_qr_estimate_nmc_below_one(self, source):
+        with pytest.raises(InvalidInputError, match="qr_estimate_nmc must be >= 1"):
+            SimulationConfig(n_mc=10, seed=1, adjusted_source=source, qr_estimate_nmc=0)
+
 
 def _tiny_config(**kw):
     defaults = dict(n_mc=200, seed=3, adjusted_source="asymptotic")
@@ -235,6 +257,79 @@ class TestRejectionChunk:
         assert expected.sum() > 0
         assert np.array_equal(got[0], expected)
         assert not got[1].any()  # no undefined statistic
+
+
+def reference_qr_chunk(n, seed, lo, hi):
+    """One replication at a time: its own stream, one search, Q/n and R/n."""
+    qs, rs = [], []
+    for rep in range(lo, hi):
+        rng = np.random.default_rng([seed, _STREAM_QR, n, rep])
+        nns = compute_nn(LabeledPointSet(rng.random((n, 2)), np.ones(n)))
+        qs.append(nns.Q / n)
+        rs.append(nns.R / n)
+    return np.array(qs), np.array(rs)
+
+
+def reference_rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
+    """One replication at a time through ``generate``, ``compute_nn`` and the
+    single-table tests; a ``DegenerateTestError`` counts as undefined."""
+    if kind == "csr":
+        spec, entropy = PatternSpec.csr(n1, n2), (seed, _STREAM_SIZE, n1, n2)
+    else:
+        spec = (PatternSpec.segregation(n1, n2, param) if kind == "segregation"
+                else PatternSpec.association(n1, n2, param))
+        entropy = (seed, _STREAM_POWER, _ALT_CODES[kind], int(round(param * 1e9)), n1, n2)
+    tests = (dixon_overall, version_I, version_II, version_III)
+    out = np.zeros((2, 4, 2), dtype=np.int64)
+    for rep in range(lo, hi):
+        pts = generate(spec, np.random.default_rng([*entropy, rep]))
+        nns = compute_nn(pts)
+        table = build_nnct(pts, nns)
+        for m, (q, r) in enumerate(((nns.Q, nns.R), (q_hat, r_hat))):
+            model = covariance_model(n1, n2, n1 + n2, q, r)
+            for t, test in enumerate(tests):
+                try:
+                    out[0, t, m] += test(table, model).p_value <= alpha
+                except DegenerateTestError:
+                    out[1, t, m] += 1
+    return out
+
+
+class TestStackedReplications:
+    """The chunks search stacks of replications; each replication must still
+    give what its own stream gives alone, on both sides of the cutover."""
+
+    @pytest.mark.parametrize("n", [2, 10, 50, _BRUTE_FORCE_MAX, _BRUTE_FORCE_MAX + 1, 300])
+    def test_qr_chunk_matches_per_replication_loop(self, n):
+        got = _qr_chunk(n, 4, 37, 137)
+        expected = reference_qr_chunk(n, 4, 37, 137)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("kind, param, n1, n2", [
+        ("csr", 0.0, 12, 18),
+        ("csr", 0.0, 90, 110),
+        ("segregation", 1 / 3, 30, 40),
+        ("segregation", 1 / 6, 100, 100),
+        ("association", 0.25, 50, 50),
+        ("association", 0.1, 5, 5),
+    ])
+    def test_rejection_chunk_matches_per_replication_loop(self, kind, param, n1, n2):
+        args = (kind, param, n1, n2, 6, 0.3, 0.64 * (n1 + n2), 0.62 * (n1 + n2), 41, 121)
+        got = _rejection_chunk(*args)
+        assert got[0].sum() > 0
+        assert np.array_equal(got, reference_rejection_chunk(*args))
+
+    def test_qr_chunk_memory_is_one_sub_block(self):
+        # 2.6 MiB; drawing and searching the whole chunk at once peaks near 47 MiB
+        _qr_chunk(_BRUTE_FORCE_MAX + 1, 1, 0, 2)  # imports the kd-tree outside the trace
+        tracemalloc.start()
+        try:
+            _qr_chunk(20000, 1, 0, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestDegenerateReplications:
