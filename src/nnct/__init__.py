@@ -22,6 +22,7 @@ from .contingency import (
 from .dataio import ingest
 from .errors import (
     DegenerateTestError,
+    InvalidArgumentError,
     InvalidInputError,
     NnctError,
     ParseError,
@@ -70,6 +71,7 @@ __all__ = [
     "CovarianceModel",
     "DEFAULT_REL_CUTOFF",
     "DegenerateTestError",
+    "InvalidArgumentError",
     "InvalidInputError",
     "LabeledPointSet",
     "NNStructure",

@@ -9,20 +9,22 @@ Each option's type, choices and default sit on its argparse action.  The
 conversion and checks and become the chosen subcommand's defaults, so explicit
 flags still win; keys that name none of its options are ignored.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 invalid input,
-5 degenerate test.
+Exit codes: 0 success, 2 usage error (an ``InvalidArgumentError``: a bad
+flag or config value, whether this module or the library finds it), 3 parse
+error, 4 invalid input data, 5 degenerate test.  ``main`` alone picks them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .dataio import check_delimiter, ingest
-from .errors import DegenerateTestError, InvalidInputError, ParseError
+from .dataio import ingest
+from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError, ParseError
 from .geometry import compute_nn
 from .montecarlo import (
     PAPER_COMBOS,
@@ -45,10 +47,6 @@ EXIT_DEGENERATE = 5
 _SIDED = {"two": "two-sided", "greater": "greater", "less": "less"}
 # spellings of a tab delimiter that survive a config file's value stripping
 _TAB_NAMES = ("tab", "\\t")
-
-
-class _UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,10 +160,10 @@ def _config_defaults(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> di
             else:
                 value = (action.type or str)(text)
         except ValueError as e:
-            raise _UsageError(f"config value for {action.dest}: {e}")
+            raise InvalidArgumentError(f"config value for {action.dest}: {e}")
         if action.choices is not None and value not in action.choices:
-            raise _UsageError(f"config value for {action.dest}: {value!r} is not one "
-                              f"of {', '.join(map(str, action.choices))}")
+            raise InvalidArgumentError(f"config value for {action.dest}: {value!r} is "
+                                       f"not one of {', '.join(map(str, action.choices))}")
         defaults[action.dest] = value
     return defaults
 
@@ -177,39 +175,27 @@ def _parse_fraction_list(text: str, what: str) -> list[float]:
         try:
             out.append(float(Fraction(item)))
         except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"cannot parse {what} value {item!r}")
+            raise InvalidArgumentError(f"cannot parse {what} value {item!r}")
     return out
 
 
 def _parse_combos(items) -> list[tuple[int, int]]:
     combos = []
     for item in items:
-        parts = item.split(",")
         try:
-            n1, n2 = (int(x) for x in parts)
+            n1, n2 = (int(x) for x in item.split(","))
         except ValueError:
-            raise _UsageError(f"combo {item!r} is not of the form N1,N2")
-        if n1 < 1 or n2 < 1:
-            raise _UsageError(f"combo {item!r} has class sizes < 1")
+            raise InvalidArgumentError(f"combo {item!r} is not of the form N1,N2")
         combos.append((n1, n2))
     return combos
 
 
 def _cmd_analyze(args) -> int:
-    delim = "\t" if args.delimiter in _TAB_NAMES else args.delimiter
-    try:
-        check_delimiter(delim)
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
-    classes = None
-    if args.classes:
-        classes = tuple(s.strip() for s in args.classes.split(","))
-        if len(classes) != 2:
-            raise _UsageError("--classes needs exactly two comma-separated labels")
     if args.nmc < 1:
-        raise _UsageError(f"--nmc must be >= 1, got {args.nmc}")
-
-    pts = ingest(args.input, has_header=not args.no_header, delimiter=delim,
+        raise InvalidArgumentError(f"--nmc must be >= 1, got {args.nmc}")
+    classes = tuple(s.strip() for s in args.classes.split(",")) if args.classes else None
+    pts = ingest(args.input, has_header=not args.no_header,
+                 delimiter="\t" if args.delimiter in _TAB_NAMES else args.delimiter,
                  classes=classes)
     nns = compute_nn(pts)
     table = build_nnct(pts, nns)
@@ -217,10 +203,7 @@ def _cmd_analyze(args) -> int:
         q_used, r_used = float(nns.Q), float(nns.R)
     else:
         source = "asymptotic" if args.qr_mode == "adjusted-asymptotic" else "estimate"
-        try:
-            q_used, r_used = adjusted_qr(pts.n, source, args.nmc, args.seed)
-        except InvalidInputError as e:  # a negative --seed
-            raise _UsageError(str(e))
+        q_used, r_used = adjusted_qr(pts.n, source, args.nmc, args.seed)
 
     results = run_battery_from_table(table, q_used, r_used, _SIDED[args.sided])
     tests = results if args.cells else results[:4]
@@ -253,28 +236,22 @@ def _write_report(report, prefix: str) -> list[str]:
 def _cmd_simulate(args) -> int:
     combos = _parse_combos(args.combos)
     if not (0.0 < args.alpha < 1.0):
-        raise _UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
-    try:
-        config = SimulationConfig(
-            n_mc=args.nmc, seed=args.seed, alpha=args.alpha, parallelism=args.workers,
-            adjusted_source=args.adjusted_source, qr_estimate_nmc=args.qr_nmc,
-        )
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
+        raise InvalidArgumentError(f"--alpha must be in (0, 1), got {args.alpha}")
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise InvalidArgumentError(f"--out directory {out_dir!r} does not exist")
+    config = SimulationConfig(
+        n_mc=args.nmc, seed=args.seed, alpha=args.alpha, parallelism=args.workers,
+        adjusted_source=args.adjusted_source, qr_estimate_nmc=args.qr_nmc,
+    )
 
     if args.subcommand == "size":
         report = empirical_size(combos, config)
     elif args.subcommand == "power-seg":
         values = _parse_fraction_list(args.s, "--s")
-        for v in values:
-            if not (0.0 <= v < 1.0):
-                raise _UsageError(f"--s values must be in [0, 1), got {v}")
         report = empirical_power([("segregation", v) for v in values], combos, config)
     else:
         values = _parse_fraction_list(args.r, "--r")
-        for v in values:
-            if not (0.0 < v < 1.0):
-                raise _UsageError(f"--r values must be in (0, 1), got {v}")
         report = empirical_power([("association", v) for v in values], combos, config)
 
     paths = _write_report(report, args.out)
@@ -289,18 +266,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate_qr(args) -> int:
     if not args.n:
-        raise _UsageError("estimate-qr needs --n (comma-separated sample sizes)")
+        raise InvalidArgumentError("estimate-qr needs --n (comma-separated sample sizes)")
     try:
         ns = [int(x) for x in args.n.split(",")]
     except ValueError:
-        raise _UsageError(f"cannot parse --n list {args.n!r}")
+        raise InvalidArgumentError(f"cannot parse --n list {args.n!r}")
     if any(n < 2 for n in ns):
-        raise _UsageError("--n values must be >= 2")
+        raise InvalidArgumentError("--n values must be >= 2")
     for i, n in enumerate(ns):
-        try:
-            est = estimate_qr(n, args.nmc, args.seed, workers=args.workers)
-        except InvalidInputError as e:
-            raise _UsageError(str(e))
+        est = estimate_qr(n, args.nmc, args.seed, workers=args.workers)
         if i == 0:  # after the first call, which rejects a bad --nmc or --workers
             print("n,n_mc,q_over_n,r_over_n,se_q,se_r")
         print(f"{est.n},{est.n_mc},{est.q_over_n!r},{est.r_over_n!r},"
@@ -319,7 +293,7 @@ def main(argv=None) -> int:
                                                         _load_config(args.config)))
             args = parser.parse_args(argv)
         return args.run(args)
-    except _UsageError as e:
+    except InvalidArgumentError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as e:

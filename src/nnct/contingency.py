@@ -149,11 +149,6 @@ class CovarianceModel:
     expected: np.ndarray
     sigma_full: np.ndarray
 
-    def dixon_sigma(self) -> np.ndarray:
-        """2x2 covariance of (N11, N22)."""
-        s = self.sigma_full
-        return np.array([[s[0, 0], s[0, 3]], [s[3, 0], s[3, 3]]])
-
 
 def _check_margins(n1: int, n2: int, n: int, minimum: int) -> None:
     if n1 < 0 or n2 < 0 or n1 + n2 != n:

@@ -18,22 +18,13 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidArgumentError, InvalidInputError, ParseError
 from .geometry import LabeledPointSet
 
 # characters of lines per block pulled with ``readlines``
 _BLOCK_CHARS = 1 << 16
 # records per block once ``csv.reader`` has taken over
 _BLOCK_ROWS = 1 << 13
-
-
-def check_delimiter(delimiter) -> None:
-    """Raise ``InvalidInputError`` unless ``delimiter`` is one character
-    other than a quote, CR or LF."""
-    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
-        raise InvalidInputError(
-            f"delimiter must be one character other than '\"', CR and LF, got {delimiter!r}"
-        )
 
 
 class _Columns:
@@ -183,15 +174,21 @@ def ingest(
     ParseError
         Empty or undecodable file, malformed row (with its line number), or
         a label not in ``classes`` when the override is given.
+    InvalidArgumentError
+        A delimiter that is not one character other than a quote, CR or LF,
+        or ``classes`` that are not two distinct labels; raised before the
+        file is opened.
     InvalidInputError
-        A delimiter that is not one character other than a quote, CR or LF;
-        not exactly two distinct classes; or bad coordinates.
+        Not exactly two distinct classes in the file, or bad coordinates.
     """
-    check_delimiter(delimiter)
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise InvalidArgumentError(
+            f"delimiter must be one character other than '\"', CR and LF, got {delimiter!r}"
+        )
     mapping: dict[str, int] = {}
     if classes is not None:
         if len(classes) != 2 or classes[0] == classes[1]:
-            raise InvalidInputError(f"--classes needs two distinct labels, got {classes}")
+            raise InvalidArgumentError(f"--classes needs two distinct labels, got {classes}")
         mapping = {str(classes[0]): 1, str(classes[1]): 2}
     cols = _Columns(mapping, pinned=classes is not None)
     try:

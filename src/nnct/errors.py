@@ -6,7 +6,13 @@ class NnctError(Exception):
 
 
 class InvalidInputError(NnctError):
-    """Input data or parameters violate a documented precondition."""
+    """Input data, or as ``InvalidArgumentError`` a parameter, violate a
+    documented precondition."""
+
+
+class InvalidArgumentError(InvalidInputError):
+    """A parameter, not the data, violates a documented precondition: the
+    caller's fault, which the CLI reports as a usage error."""
 
 
 class ParseError(NnctError):

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import InvalidInputError
+from .errors import InvalidArgumentError
 from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
@@ -58,13 +58,15 @@ class PatternSpec:
 
     def __post_init__(self):
         if self.kind not in ("csr", "segregation", "association"):
-            raise InvalidInputError(f"unknown pattern kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown pattern kind {self.kind!r}")
         if self.n1 < 1 or self.n2 < 1:
-            raise InvalidInputError("class sizes must be >= 1")
+            raise InvalidArgumentError("class sizes must be >= 1")
         if self.kind == "segregation" and not (0.0 <= self.s < 1.0):
-            raise InvalidInputError(f"segregation offset must be in [0, 1), got {self.s}")
+            raise InvalidArgumentError(
+                f"segregation offset must be in [0, 1), got {self.s}")
         if self.kind == "association" and not (0.0 < self.r < 1.0):
-            raise InvalidInputError(f"association radius must be in (0, 1), got {self.r}")
+            raise InvalidArgumentError(
+                f"association radius must be in (0, 1), got {self.r}")
 
     @classmethod
     def csr(cls, n1: int, n2: int) -> "PatternSpec":
@@ -126,18 +128,18 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.n_mc < 1:
-            raise InvalidInputError(f"n_mc must be >= 1, got {self.n_mc}")
+            raise InvalidArgumentError(f"n_mc must be >= 1, got {self.n_mc}")
         if not (0.0 <= self.alpha < 1.0):
-            raise InvalidInputError(f"alpha must be in [0, 1), got {self.alpha}")
+            raise InvalidArgumentError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.seed < 0:
-            raise InvalidInputError("seed must be a nonnegative integer")
+            raise InvalidArgumentError("seed must be a nonnegative integer")
         if self.parallelism < 1:
-            raise InvalidInputError("parallelism must be >= 1")
+            raise InvalidArgumentError("parallelism must be >= 1")
         if self.qr_estimate_nmc < 1:
-            raise InvalidInputError(
+            raise InvalidArgumentError(
                 f"qr_estimate_nmc must be >= 1, got {self.qr_estimate_nmc}")
         if self.adjusted_source not in ("estimate", "asymptotic"):
-            raise InvalidInputError(f"unknown adjusted_source {self.adjusted_source!r}")
+            raise InvalidArgumentError(f"unknown adjusted_source {self.adjusted_source!r}")
 
 
 @dataclass(frozen=True)
@@ -166,18 +168,15 @@ class SizePowerReport:
     band: tuple[float, float]
     rows: tuple[SizePowerRow, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "kind": self.kind,
             "alpha": self.alpha,
             "n_mc": self.n_mc,
             "seed": self.seed,
             "band": list(self.band),
             "rows": [vars(r) for r in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True)
 
     _CSV_FIELDS = (
         "combo_index", "n1", "n2", "alternative", "param", "flavor",
@@ -219,9 +218,9 @@ def size_band(alpha: float, n_mc: int) -> tuple[float, float]:
     ``alpha``: alpha -/+ z_0.95 * sqrt(alpha (1 - alpha) / n_mc), a
     one-sided normal proportion test in each direction."""
     if not (0.0 <= alpha < 1.0):
-        raise InvalidInputError(f"alpha must be in [0, 1), got {alpha}")
+        raise InvalidArgumentError(f"alpha must be in [0, 1), got {alpha}")
     if n_mc < 1:
-        raise InvalidInputError(f"n_mc must be >= 1, got {n_mc}")
+        raise InvalidArgumentError(f"n_mc must be >= 1, got {n_mc}")
     z95 = 1.6448536269514722  # the standard normal 0.95 quantile
     half = z95 * np.sqrt(alpha * (1.0 - alpha) / n_mc)
     return alpha - half, alpha + half
@@ -295,13 +294,13 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
     square, with standard errors.  Bit-reproducible for a fixed seed at any
     worker count."""
     if n < 2:
-        raise InvalidInputError(f"need n >= 2, got {n}")
+        raise InvalidArgumentError(f"need n >= 2, got {n}")
     if n_mc < 1:
-        raise InvalidInputError(f"n_mc must be >= 1, got {n_mc}")
+        raise InvalidArgumentError(f"n_mc must be >= 1, got {n_mc}")
     if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     if seed < 0:
-        raise InvalidInputError("seed must be a nonnegative integer")
+        raise InvalidArgumentError("seed must be a nonnegative integer")
     parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
     qs = np.concatenate([p[0] for p in parts])
     rs = np.concatenate([p[1] for p in parts])
@@ -318,17 +317,24 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
 # rejection engine shared by the size and power studies
 
 
+def _block_spec(kind, param, n1, n2) -> PatternSpec:
+    """The pattern of a study block: CSR, or alternative ``kind`` at
+    ``param``."""
+    if kind == "csr":
+        return PatternSpec.csr(n1, n2)
+    if kind == "segregation":
+        return PatternSpec.segregation(n1, n2, param)
+    return PatternSpec.association(n1, n2, param)
+
+
 def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
     """Counts over replications [lo, hi) as a (2, 4 tests, 2 modes) integer
     array: rejections, then undefined statistics; modes are observed then
     adjusted.  An undefined statistic is a non-rejection of its test only."""
+    spec = _block_spec(kind, param, n1, n2)
     if kind == "csr":
-        spec = PatternSpec.csr(n1, n2)
         entropy = (seed, _STREAM_SIZE, n1, n2)
     else:
-        spec = (PatternSpec.segregation(n1, n2, param)
-                if kind == "segregation"
-                else PatternSpec.association(n1, n2, param))
         entropy = (seed, _STREAM_POWER, _ALT_CODES[kind],
                    int(round(param * 1e9)), n1, n2)
     reps = hi - lo
@@ -372,7 +378,7 @@ def adjusted_qr(n: int, source: str, n_mc: int, seed: int,
     if source == "asymptotic":
         return CSR_Q_PER_POINT * n, CSR_R_PER_POINT * n
     if source != "estimate":
-        raise InvalidInputError(f"unknown adjusted_source {source!r}")
+        raise InvalidArgumentError(f"unknown adjusted_source {source!r}")
     est = estimate_qr(n, n_mc, seed, workers=workers)
     return est.q_over_n * n, est.r_over_n * n
 
@@ -386,6 +392,13 @@ def _combo_index(n1: int, n2: int) -> int | None:
 
 def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
     band = size_band(config.alpha, config.n_mc)
+    # every block's arguments are checked before the first replication
+    for kind, param in kind_params:
+        for n1, n2 in combos:
+            _block_spec(kind, param, n1, n2)
+            if n1 + n2 < 4:  # the covariance model's minimum
+                raise InvalidArgumentError(
+                    f"combo ({n1}, {n2}) has n = {n1 + n2}; the tests need n >= 4")
     # the adjusted Q and R depend on n only: one estimate per distinct n
     adjusted = {
         n: adjusted_qr(n, config.adjusted_source, config.qr_estimate_nmc,
@@ -437,8 +450,8 @@ def empirical_power(alternatives, combos, config: SimulationConfig) -> SizePower
     alts = []
     for kind, param in alternatives:
         if kind not in _ALT_CODES:
-            raise InvalidInputError(f"unknown alternative kind {kind!r}")
+            raise InvalidArgumentError(f"unknown alternative kind {kind!r}")
         alts.append((kind, float(param)))
     if not alts:
-        raise InvalidInputError("need at least one alternative")
+        raise InvalidArgumentError("need at least one alternative")
     return _study(alts, combos, config, "power")

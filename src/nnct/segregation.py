@@ -40,7 +40,7 @@ from .contingency import (
     expected_counts,
     tabulate_pairs,
 )
-from .errors import DegenerateTestError, InvalidInputError
+from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError
 from .geometry import LabeledPointSet, NNStructure, compute_nn
 from .numerics import chi2_sf, generalized_inverse, normal_sf
 
@@ -127,7 +127,7 @@ def _statistic_only(flavor, counts, sigma):
         bad = ~(var > 0.0)
         stat = (cells[:, pos] - expected) / np.sqrt(np.where(bad, 1.0, var))
     else:
-        raise InvalidInputError(f"unknown test flavor {flavor!r}")
+        raise InvalidArgumentError(f"unknown test flavor {flavor!r}")
     return np.where(bad | ~np.isfinite(stat), np.nan, stat)
 
 
@@ -153,7 +153,7 @@ def cell_specific_test(
     ``alternative`` is "two-sided" (default), "greater", or "less".
     """
     if i not in (1, 2) or j not in (1, 2):
-        raise InvalidInputError(f"cell indices must be 1 or 2, got ({i}, {j})")
+        raise InvalidArgumentError(f"cell indices must be 1 or 2, got ({i}, {j})")
     flavor = CELL_FLAVORS[2 * (i - 1) + (j - 1)]
     z = _single(flavor, nnct, cov_model)
     if alternative == "two-sided":
@@ -163,7 +163,7 @@ def cell_specific_test(
     elif alternative == "less":
         p = normal_sf(-z)
     else:
-        raise InvalidInputError(f"unknown alternative {alternative!r}")
+        raise InvalidArgumentError(f"unknown alternative {alternative!r}")
     return TestResult(flavor, z, None, min(p, 1.0))
 
 
@@ -279,10 +279,8 @@ def permutation_pvalue(
     in pieces from the same generator and the p-value does not change.
     """
     if n_perm < 99:
-        raise InvalidInputError(f"need at least 99 permutations, got {n_perm}")
+        raise InvalidArgumentError(f"need at least 99 permutations, got {n_perm}")
     n1, n2 = pts.class_sizes
-    if n1 == 0 or n2 == 0:
-        raise InvalidInputError("both classes need members")
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
     q, r = qr if qr is not None else (nns.Q, nns.R)

@@ -248,7 +248,7 @@ def test_criterion_8_structural_identities():
         assert model.expected[1].sum() == n - n1
         # matrix form vs closed form for the Dixon statistic
         stat = dixon_overall(table, model).statistic
-        s = model.dixon_sigma()
+        s = model.sigma_full[np.ix_([0, 3], [0, 3])]
         z_aa = (table.counts[0, 0] - model.expected[0, 0]) / np.sqrt(s[0, 0])
         z_bb = (table.counts[1, 1] - model.expected[1, 1]) / np.sqrt(s[1, 1])
         rho = s[0, 1] / np.sqrt(s[0, 0] * s[1, 1])

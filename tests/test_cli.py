@@ -380,6 +380,33 @@ class TestConfigFile:
         assert not (tmp_path / "size.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "size", "--combos", "100,100", "1,2"],
+    ["simulate", "size", "--combos", "0,5"],
+    ["simulate", "power-seg", "--s", "3/2"],
+    ["simulate", "power-assoc", "--r", "0"],
+    ["simulate", "size", "--workers", "0"],
+    ["simulate", "size", "--seed", "-1"],
+    ["analyze", FIXTURE, "--classes", "a,a"],
+    ["analyze", FIXTURE, "--classes", "a,b,c"],
+    ["analyze", FIXTURE, "--delimiter", "ab"],
+    ["simulate", "size", "--combos", "10,10", "--out", "missing/size"],
+], ids=["combo-n-3", "combo-class-0", "s", "r", "workers", "seed", "classes-same",
+        "classes-three", "delimiter", "out-dir-missing"])
+def test_bad_argument_exits_2_before_any_replication(argv, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "estimate_qr", never)
+    monkeypatch.setattr(montecarlo, "_rejection_chunk", never)
+    monkeypatch.chdir(tmp_path)  # the default --out prefixes land here
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch("usage error: [^\n]+\n", err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

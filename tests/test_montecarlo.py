@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nnct import (
+    InvalidArgumentError,
     InvalidInputError,
     LabeledPointSet,
     PatternSpec,
@@ -235,6 +236,22 @@ class TestEmpiricalSize:
     def test_alpha_zero_never_rejects(self):
         report = empirical_size([(10, 10)], _tiny_config(alpha=0.0))
         assert all(r.rejection_rate == 0.0 for r in report.rows)
+
+    def test_argument_errors_are_invalid_input_errors(self):
+        assert issubclass(InvalidArgumentError, InvalidInputError)
+
+    @pytest.mark.parametrize("combos, match", [
+        ([(1, 2)], r"combo \(1, 2\) has n = 3"),
+        ([(10, 10), (0, 5)], "class sizes must be >= 1"),
+    ], ids=["n-3", "class-0"])
+    def test_bad_combo_raises_before_any_replication(self, monkeypatch, combos, match):
+        def never(*args):
+            raise AssertionError("the study started before checking its arguments")
+
+        monkeypatch.setattr(montecarlo, "adjusted_qr", never)
+        monkeypatch.setattr(montecarlo, "_rejection_chunk", never)
+        with pytest.raises(InvalidArgumentError, match=match):
+            empirical_size(combos, _tiny_config(adjusted_source="estimate"))
 
 
 class TestRejectionChunk:
