@@ -30,6 +30,7 @@ from .montecarlo import (
     PAPER_COMBOS,
     SimulationConfig,
     adjusted_qr,
+    check_seed,
     empirical_power,
     empirical_size,
     estimate_qr,
@@ -193,6 +194,8 @@ def _parse_combos(items) -> list[tuple[int, int]]:
 def _cmd_analyze(args) -> int:
     if args.nmc < 1:
         raise InvalidArgumentError(f"--nmc must be >= 1, got {args.nmc}")
+    if args.qr_mode == "adjusted":
+        check_seed(args.seed)  # the Q/R estimate's seed, before the file is read
     classes = tuple(s.strip() for s in args.classes.split(",")) if args.classes else None
     pts = ingest(args.input, has_header=not args.no_header,
                  delimiter="\t" if args.delimiter in _TAB_NAMES else args.delimiter,
@@ -207,13 +210,11 @@ def _cmd_analyze(args) -> int:
 
     results = run_battery_from_table(table, q_used, r_used, _SIDED[args.sided])
     tests = results if args.cells else results[:4]
-    n1, n2 = pts.class_sizes
     rep = AnalysisReport(
-        n=pts.n, n1=n1, n2=n2,
         duplicate_points=pts.has_duplicate_points(),
         table=table, q=nns.Q, r=nns.R,
         qr_mode=args.qr_mode, q_used=q_used, r_used=r_used,
-        tests=tuple(tests), seed=args.seed, version=__version__,
+        tests=tuple(tests), seed=args.seed,
     )
     if args.format == "json":
         sys.stdout.write(rep.to_json() + "\n")
@@ -235,8 +236,6 @@ def _write_report(report, prefix: str) -> list[str]:
 
 def _cmd_simulate(args) -> int:
     combos = _parse_combos(args.combos)
-    if not (0.0 < args.alpha < 1.0):
-        raise InvalidArgumentError(f"--alpha must be in (0, 1), got {args.alpha}")
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise InvalidArgumentError(f"--out directory {out_dir!r} does not exist")

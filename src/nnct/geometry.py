@@ -13,6 +13,10 @@ digraph drive all the variance formulas downstream:
 Distance ties are broken toward the lowest point index, which makes the
 digraph deterministic (ties have probability zero for continuous data but do
 occur in gridded or duplicated field records).
+
+One dispatch, ``_nn_stack``, searches a single ``(n, 2)`` set or each set of
+an ``(..., n, 2)`` stack: by brute force up to ``_BRUTE_FORCE_MAX`` points,
+by kd-tree with tie repair above.  Both searches give identical indices.
 """
 
 from __future__ import annotations
@@ -209,49 +213,48 @@ def _repair_ties(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
-    """kd-tree nearest neighbor indices with exact lowest-index tie repair.
+    """kd-tree nearest neighbor indices of one ``(n, 2)`` set or of each set
+    of an ``(..., n, 2)`` stack, with exact lowest-index tie repair.
 
     scipy is imported here, on the kd-tree path only, so that importing the
     package and searching small sets by brute force never load it.
     """
     from scipy.spatial import cKDTree
 
-    n = coords.shape[0]
-    tree = cKDTree(coords)
-    k = min(n, 3)
-    dist, idx = tree.query(coords, k=k)
+    n = coords.shape[-2]
+    flat = coords.reshape(-1, n, 2)
+    nn = np.empty(flat.shape[:2], dtype=np.intp)
     rows = np.arange(n)
-    nonself = idx != rows[:, None]
-    first = nonself.argmax(axis=1)
-    nn = idx[rows, first].astype(np.intp)
-    if n == 2:
-        return nn
-    dmin = dist[rows, first]
-    # a tie needs repair when several returned neighbors sit at the minimum
-    # distance, or when the last returned distance equals it (further tied
-    # candidates may have been truncated by k)
-    multiple = np.count_nonzero(nonself & (dist == dmin[:, None]), axis=1) > 1
-    truncated = dist[:, -1] <= dmin
-    tied = np.flatnonzero(multiple | truncated)
-    if tied.size:
-        nn[tied] = _repair_ties(coords, tied)
-    return nn
+    for c, out in zip(flat, nn):
+        dist, idx = cKDTree(c).query(c, k=min(n, 3))
+        nonself = idx != rows[:, None]
+        first = nonself.argmax(axis=1)
+        out[:] = idx[rows, first]
+        dmin = dist[rows, first]
+        # a tie needs repair when several returned neighbors sit at the minimum
+        # distance, or when the last returned distance equals it (further tied
+        # candidates may have been truncated by k)
+        multiple = np.count_nonzero(nonself & (dist == dmin[:, None]), axis=1) > 1
+        truncated = dist[:, -1] <= dmin
+        tied = np.flatnonzero(multiple | truncated)
+        if tied.size:
+            out[tied] = _repair_ties(c, tied)
+    return nn.reshape(coords.shape[:-1])
 
 
-def _nn_indices(coords: np.ndarray) -> np.ndarray:
-    """Brute force up to ``_BRUTE_FORCE_MAX`` points, the kd-tree above."""
-    if coords.shape[0] <= _BRUTE_FORCE_MAX:
+def _nn_stack(coords: np.ndarray) -> np.ndarray:
+    """NN indices of one ``(n, 2)`` set or of each set of an ``(..., n, 2)``
+    stack: brute force up to ``_BRUTE_FORCE_MAX`` points, the kd-tree above.
+    The only place that chooses between the two searches."""
+    if coords.shape[-2] <= _BRUTE_FORCE_MAX:
         return _nn_brute(coords)
     return _nn_kdtree(coords)
 
 
-def _nn_stack(coords: np.ndarray) -> np.ndarray:
-    """NN indices of each set of a ``(sets, n, 2)`` stack: one brute-force
-    search of the whole stack up to ``_BRUTE_FORCE_MAX`` points, the
-    single-set ``_nn_indices`` on each set above."""
-    if coords.shape[-2] <= _BRUTE_FORCE_MAX:
-        return _nn_brute(coords)
-    return np.stack([_nn_indices(c) for c in coords])
+def _nn_indices(coords: np.ndarray) -> np.ndarray:
+    """NN indices of one ``(n, 2)`` set.  A name of its own because the
+    benchmark tracer (``bench/tracing.py``) times and counts these calls."""
+    return _nn_stack(coords)
 
 
 def digraph_q_r(nn: np.ndarray) -> tuple[np.ndarray, int | np.ndarray, int | np.ndarray]:

@@ -48,25 +48,30 @@ _DRAW_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Recipe for one random point pattern on (or around) the unit square."""
+    """Recipe for one random point pattern on (or around) the unit square.
+
+    ``kind`` is "csr", "segregation" or "association", ``n1`` and ``n2`` are
+    the class sizes, and ``param`` is the pattern's one parameter: the
+    segregation offset s in [0, 1) or the association radius r in (0, 1).
+    CSR ignores it.
+    """
 
     kind: str
     n1: int = 0
     n2: int = 0
-    s: float | None = None
-    r: float | None = None
+    param: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("csr", "segregation", "association"):
             raise InvalidArgumentError(f"unknown pattern kind {self.kind!r}")
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidArgumentError("class sizes must be >= 1")
-        if self.kind == "segregation" and not (0.0 <= self.s < 1.0):
+        if self.kind == "segregation" and not (0.0 <= self.param < 1.0):
             raise InvalidArgumentError(
-                f"segregation offset must be in [0, 1), got {self.s}")
-        if self.kind == "association" and not (0.0 < self.r < 1.0):
+                f"segregation offset must be in [0, 1), got {self.param}")
+        if self.kind == "association" and not (0.0 < self.param < 1.0):
             raise InvalidArgumentError(
-                f"association radius must be in (0, 1), got {self.r}")
+                f"association radius must be in (0, 1), got {self.param}")
 
     @classmethod
     def csr(cls, n1: int, n2: int) -> "PatternSpec":
@@ -74,11 +79,17 @@ class PatternSpec:
 
     @classmethod
     def segregation(cls, n1: int, n2: int, s: float) -> "PatternSpec":
-        return cls(kind="segregation", n1=n1, n2=n2, s=float(s))
+        return cls(kind="segregation", n1=n1, n2=n2, param=float(s))
 
     @classmethod
     def association(cls, n1: int, n2: int, r: float) -> "PatternSpec":
-        return cls(kind="association", n1=n1, n2=n2, r=float(r))
+        return cls(kind="association", n1=n1, n2=n2, param=float(r))
+
+
+def check_seed(seed: int) -> None:
+    """The seed rule of every study and Q/R estimate: a nonnegative integer."""
+    if seed < 0:
+        raise InvalidArgumentError("seed must be a nonnegative integer")
 
 
 def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
@@ -96,14 +107,14 @@ def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
     if spec.kind == "csr":
         return LabeledPointSet(rng.random((n1 + n2, 2)), labels)
     if spec.kind == "segregation":
-        width = 1.0 - spec.s
+        width = 1.0 - spec.param
         x = rng.random((n1, 2)) * width
-        y = spec.s + rng.random((n2, 2)) * width
+        y = spec.param + rng.random((n2, 2)) * width
         return LabeledPointSet(np.vstack([x, y]), labels)
     # association
     x = rng.random((n1, 2))
     anchor = rng.integers(0, n1, size=n2)
-    radius = rng.uniform(0.0, spec.r, size=n2)
+    radius = rng.uniform(0.0, spec.param, size=n2)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n2)
     y = x[anchor] + radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
     return LabeledPointSet(np.vstack([x, y]), labels)
@@ -131,8 +142,7 @@ class SimulationConfig:
             raise InvalidArgumentError(f"n_mc must be >= 1, got {self.n_mc}")
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidArgumentError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be a nonnegative integer")
+        check_seed(self.seed)
         if self.parallelism < 1:
             raise InvalidArgumentError("parallelism must be >= 1")
         if self.qr_estimate_nmc < 1:
@@ -234,18 +244,19 @@ def _band_flag(rate: float, band: tuple[float, float]) -> str:
     return "ok"
 
 
-def _digraphs(draw, n: int, lo: int, hi: int):
+def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
     """NN digraphs of replications [lo, hi) of ``n`` points each.
 
-    ``draw(rep)`` returns the ``(n, 2)`` points of replication ``rep``
-    from that replication's own stream.  Yields ``(rows, nn, q, r)`` per
-    sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)`` NN
-    indices and their Q and R.
+    Replication ``rep`` draws its ``(n, 2)`` points as ``draw(rng)`` from
+    its own stream ``default_rng([*key, rep])``.  Yields ``(rows, nn, q,
+    r)`` per sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)``
+    NN indices and their Q and R.
     """
     step = max(1, _DRAW_BLOCK // (2 * n))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        nn = _nn_stack(np.stack([draw(rep) for rep in range(start, stop)]))
+        nn = _nn_stack(np.stack([draw(np.random.default_rng([*key, rep]))
+                                 for rep in range(start, stop)]))
         _, q, r = digraph_q_r(nn)
         yield slice(start - lo, stop - lo), nn, q, r
 
@@ -279,11 +290,8 @@ class QREstimate:
 def _qr_chunk(n: int, seed: int, lo: int, hi: int):
     qs = np.empty(hi - lo)
     rs = np.empty(hi - lo)
-
-    def draw(rep):
-        return np.random.default_rng([seed, _STREAM_QR, n, rep]).random((n, 2))
-
-    for rows, _, q, r in _digraphs(draw, n, lo, hi):
+    key = (seed, _STREAM_QR, n)
+    for rows, _, q, r in _digraphs(key, lambda rng: rng.random((n, 2)), n, lo, hi):
         qs[rows] = q / n
         rs[rows] = r / n
     return qs, rs
@@ -299,8 +307,7 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
         raise InvalidArgumentError(f"n_mc must be >= 1, got {n_mc}")
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be a nonnegative integer")
+    check_seed(seed)
     parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
     qs = np.concatenate([p[0] for p in parts])
     rs = np.concatenate([p[1] for p in parts])
@@ -317,37 +324,23 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
 # rejection engine shared by the size and power studies
 
 
-def _block_spec(kind, param, n1, n2) -> PatternSpec:
-    """The pattern of a study block: CSR, or alternative ``kind`` at
-    ``param``."""
-    if kind == "csr":
-        return PatternSpec.csr(n1, n2)
-    if kind == "segregation":
-        return PatternSpec.segregation(n1, n2, param)
-    return PatternSpec.association(n1, n2, param)
-
-
 def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
     """Counts over replications [lo, hi) as a (2, 4 tests, 2 modes) integer
     array: rejections, then undefined statistics; modes are observed then
     adjusted.  An undefined statistic is a non-rejection of its test only."""
-    spec = _block_spec(kind, param, n1, n2)
+    spec = PatternSpec(kind, n1, n2, param)
     if kind == "csr":
-        entropy = (seed, _STREAM_SIZE, n1, n2)
+        key = (seed, _STREAM_SIZE, n1, n2)
     else:
-        entropy = (seed, _STREAM_POWER, _ALT_CODES[kind],
-                   int(round(param * 1e9)), n1, n2)
+        key = (seed, _STREAM_POWER, _ALT_CODES[kind], int(round(param * 1e9)), n1, n2)
     reps = hi - lo
     n = n1 + n2
     labels = np.repeat([1, 2], [n1, n2])
     counts = np.empty((reps, 2, 2), dtype=np.int64)
     q_obs = np.empty(reps)
     r_obs = np.empty(reps)
-
-    def draw(rep):
-        return generate(spec, np.random.default_rng([*entropy, rep])).points
-
-    for rows, nn, q, r in _digraphs(draw, n, lo, hi):
+    for rows, nn, q, r in _digraphs(key, lambda rng: generate(spec, rng).points,
+                                    n, lo, hi):
         q_obs[rows] = q
         r_obs[rows] = r
         counts[rows] = tabulate_pairs(labels, nn)
@@ -395,7 +388,7 @@ def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
     # every block's arguments are checked before the first replication
     for kind, param in kind_params:
         for n1, n2 in combos:
-            _block_spec(kind, param, n1, n2)
+            PatternSpec(kind, n1, n2, param)
             if n1 + n2 < 4:  # the covariance model's minimum
                 raise InvalidArgumentError(
                     f"combo ({n1}, {n2}) has n = {n1 + n2}; the tests need n >= 4")

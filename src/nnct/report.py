@@ -6,6 +6,7 @@ import csv
 import json
 from dataclasses import dataclass
 
+from . import __version__
 from .contingency import ContingencyTable
 from .segregation import TestResult
 
@@ -14,11 +15,9 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyze command reports for one input file."""
+    """Everything the analyze command reports for one input file.  The
+    class sizes are the table's row sums and n its total."""
 
-    n: int
-    n1: int
-    n2: int
     duplicate_points: bool
     table: ContingencyTable
     q: int
@@ -28,7 +27,6 @@ class AnalysisReport:
     r_used: float
     tests: tuple[TestResult, ...]
     seed: int | None
-    version: str
 
     def row_percent(self) -> list[list[float]]:
         """Cell percentages relative to their row sums."""
@@ -41,14 +39,15 @@ class AnalysisReport:
         return out
 
     def to_dict(self) -> dict:
+        n1, n2 = self.table.row_sums
         return {
             "schema_version": SCHEMA_VERSION,
-            "version": self.version,
+            "version": __version__,
             "seed": self.seed,
             "input": {
-                "n": self.n,
-                "n1": self.n1,
-                "n2": self.n2,
+                "n": self.table.total,
+                "n1": n1,
+                "n2": n2,
                 "duplicate_points": self.duplicate_points,
             },
             "nnct": {
@@ -85,12 +84,13 @@ class AnalysisReport:
             "n11", "n12", "n21", "n22", "q", "r", "seed",
         ])
         c = self.table.counts
+        n1, n2 = self.table.row_sums
         for t in self.tests:
             w.writerow([
                 t.flavor, repr(t.statistic),
                 "" if t.df is None else t.df, repr(t.p_value),
                 self.qr_mode, repr(self.q_used), repr(self.r_used),
-                self.n, self.n1, self.n2,
+                self.table.total, n1, n2,
                 c[0, 0], c[0, 1], c[1, 0], c[1, 1],
                 self.q, self.r, "" if self.seed is None else self.seed,
             ])

@@ -41,7 +41,7 @@ from .contingency import (
     tabulate_pairs,
 )
 from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError
-from .geometry import LabeledPointSet, NNStructure, compute_nn
+from .geometry import LabeledPointSet, compute_nn
 from .numerics import chi2_sf, generalized_inverse, normal_sf
 
 FLAVOR_DIXON = "dixon_overall"
@@ -226,7 +226,6 @@ def run_battery(
     pts: LabeledPointSet,
     qr: tuple[float, float] | None = None,
     alternative: str = "two-sided",
-    nns: NNStructure | None = None,
 ) -> list[TestResult]:
     """Full test battery for a labeled point set.
 
@@ -234,8 +233,7 @@ def run_battery(
     ``(q, r)`` pair, such as ``adjusted_qr(...)``, keeps the same table and
     expectations but substitutes those values into the variances.
     """
-    if nns is None:
-        nns = compute_nn(pts)
+    nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
     q, r = qr if qr is not None else (nns.Q, nns.R)
     return run_battery_from_table(nnct, q, r, alternative)

@@ -259,7 +259,7 @@ def test_criterion_8_structural_identities():
         # relabel symmetry (a zero column sum degenerates both orientations)
         swapped = LabeledPointSet(pts.points, 3 - pts.labels)
         try:
-            originals = run_battery(pts, nns=nns)[:4]
+            originals = run_battery(pts)[:4]
         except DegenerateTestError:
             with pytest.raises(DegenerateTestError):
                 run_battery(swapped)

@@ -17,7 +17,7 @@ from nnct import (
     estimate_qr,
     ingest,
 )
-from nnct import montecarlo
+from nnct import cli, montecarlo
 from nnct.cli import build_parser, main
 
 from conftest import DATA_DIR, mutual_pairs
@@ -85,7 +85,11 @@ class TestAnalyze:
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_adjusted_negative_seed_is_a_usage_error(self, capsys):
+    def test_adjusted_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the input was read before the seed was checked")
+
+        monkeypatch.setattr(cli, "ingest", never)
         assert main(["analyze", FIXTURE, "--qr-mode", "adjusted", "--nmc", "5",
                      "--seed", "-1"]) == 2
         out, err = capsys.readouterr()
@@ -207,6 +211,15 @@ class TestSimulate:
         with open(prefix + "_plot.csv", encoding="utf-8") as fh:
             assert len(fh.read().strip().splitlines()) == 1 + 8
 
+    def test_alpha_zero_never_rejects(self, tmp_path, capsys):
+        prefix = str(tmp_path / "a0")
+        assert main(["simulate", "size", "--combos", "10,10", "--nmc", "30", "--alpha", "0",
+                     "--adjusted-source", "asymptotic", "--out", prefix]) == 0
+        capsys.readouterr()
+        doc = json.loads(open(prefix + ".json", encoding="utf-8").read())
+        assert doc["band"] == [0.0, 0.0]
+        assert all(row["rejection_rate"] == 0.0 for row in doc["rows"])
+
     def test_power_seg_fraction_parsing(self, tmp_path, capsys):
         prefix = str(tmp_path / "pow")
         code = main([
@@ -321,6 +334,9 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
         assert main(["analyze", FIXTURE, "--config", str(cfg)]) == 3
+        assert main(["analyze", FIXTURE, "--config", str(tmp_path / "missing.cfg")]) == 3
+        cfg.write_text("combos =\n")
+        assert main(["simulate", "size", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("line", ["qr_mode = obsrved", "format = xml", "sided = both",
@@ -391,14 +407,21 @@ class TestConfigFile:
     ["analyze", FIXTURE, "--classes", "a,b,c"],
     ["analyze", FIXTURE, "--delimiter", "ab"],
     ["simulate", "size", "--combos", "10,10", "--out", "missing/size"],
+    ["simulate", "size", "--alpha", "1"],
+    ["simulate", "power-seg", "--s", "abc"],
+    ["estimate-qr", "--n", "1"],
+    ["estimate-qr", "--n", "5,x"],
+    ["analyze", FIXTURE, "--nmc", "0"],
 ], ids=["combo-n-3", "combo-class-0", "s", "r", "workers", "seed", "classes-same",
-        "classes-three", "delimiter", "out-dir-missing"])
+        "classes-three", "delimiter", "out-dir-missing", "alpha-1", "s-unparsable",
+        "n-below-2", "n-unparsable", "nmc-0"])
 def test_bad_argument_exits_2_before_any_replication(argv, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a replication ran before the arguments were checked")
 
     monkeypatch.setattr(montecarlo, "estimate_qr", never)
     monkeypatch.setattr(montecarlo, "_rejection_chunk", never)
+    monkeypatch.setattr(montecarlo, "_digraphs", never)
     monkeypatch.chdir(tmp_path)  # the default --out prefixes land here
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -284,6 +284,7 @@ class TestStackedSearch:
         assert nn.shape == (3, 200, 10)
         per_set = np.array([_nn_kdtree(c) for c in stack.reshape(-1, 10, 2)])
         assert np.array_equal(nn.reshape(-1, 10), per_set)
+        assert np.array_equal(_nn_kdtree(stack), nn)
         _, q, r = digraph_q_r(nn)
         assert q.shape == r.shape == (3, 200)
         assert q[2, 7] == digraph_q_r(nn[2, 7])[1]
