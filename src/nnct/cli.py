@@ -24,13 +24,13 @@ from fractions import Fraction
 
 from . import __version__
 from .dataio import ingest
-from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError, ParseError
+from .errors import (DegenerateTestError, InvalidArgumentError, InvalidInputError,
+                     ParseError, check_seed)
 from .geometry import compute_nn
 from .montecarlo import (
     PAPER_COMBOS,
     SimulationConfig,
     adjusted_qr,
-    check_seed,
     empirical_power,
     empirical_size,
     estimate_qr,

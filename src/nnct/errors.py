@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the seed rule, shared across the package."""
 
 
 class NnctError(Exception):
@@ -13,6 +13,13 @@ class InvalidInputError(NnctError):
 class InvalidArgumentError(InvalidInputError):
     """A parameter, not the data, violates a documented precondition: the
     caller's fault, which the CLI reports as a usage error."""
+
+
+def check_seed(seed: int) -> None:
+    """The seed rule of every study, Q/R estimate and permutation p-value:
+    a nonnegative integer."""
+    if seed < 0:
+        raise InvalidArgumentError("seed must be a nonnegative integer")
 
 
 class ParseError(NnctError):

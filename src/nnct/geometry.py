@@ -16,7 +16,7 @@ occur in gridded or duplicated field records).
 
 One dispatch, ``_nn_stack``, searches a single ``(n, 2)`` set or each set of
 an ``(..., n, 2)`` stack: by brute force up to ``_BRUTE_FORCE_MAX`` points,
-by kd-tree with tie repair above.  Both searches give identical indices.
+by a kd-tree or an exact site search above.  Both give identical indices.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ _BRUTE_FORCE_MAX = 192
 # (sets x n x n) squared distances per block of the brute-force search:
 # 2^14 (128 kB temporaries) beat 2^12, 2^13 and 2^15 at n = 10-128
 _BRUTE_BLOCK_ENTRIES = 1 << 14
-# first candidate count of the tie repair: the 8th candidate lies beyond the
+# first candidate count of the site search: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
-_REPAIR_K0 = 8
-# (rows x k) candidates per block: its dozen temporaries stay near 3 MB, far
+_SITE_K0 = 8
+# (sites x k) candidates per block: its dozen temporaries stay near 3 MB, far
 # below what ingesting and searching large inputs already holds
-_REPAIR_BLOCK_ENTRIES = 1 << 15
+_SITE_BLOCK_ENTRIES = 1 << 15
 _NO_SITE = np.iinfo(np.intp).max
 
 
@@ -144,13 +144,13 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _nearest_other_site(site_xy: np.ndarray, lowest: np.ndarray,
-                        query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each site in ``query``: the squared distance to the nearest other
-    site, and the lowest member index over the other sites at that distance
-    (``inf`` and ``_NO_SITE`` when there is no other site).
+def _nearest_other_site(site_xy: np.ndarray,
+                        lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each site: the squared distance to the nearest other site, and the
+    lowest member index over the other sites at that distance (``inf`` and
+    ``_NO_SITE`` when there is no other site).
 
-    A kd-tree over the sites supplies candidates.  ``k`` grows only on rows
+    A kd-tree over the sites supplies candidates.  ``k`` grows only on sites
     whose k-th candidate is not yet strictly farther than their minimum, so
     no tied site can have been cut off.  Distances are recomputed as
     ``dx*dx + dy*dy``, with the rounding of ``_nn_brute``.
@@ -158,18 +158,17 @@ def _nearest_other_site(site_xy: np.ndarray, lowest: np.ndarray,
     from scipy.spatial import cKDTree
 
     ns = site_xy.shape[0]
-    d2min = np.full(query.shape[0], np.inf)
-    winner = np.full(query.shape[0], _NO_SITE, dtype=np.intp)
+    d2min = np.full(ns, np.inf)
+    winner = np.full(ns, _NO_SITE, dtype=np.intp)
     tree = cKDTree(site_xy)
-    todo = np.arange(query.shape[0])
-    k = min(ns, _REPAIR_K0)
+    todo = np.arange(ns)
+    k = min(ns, _SITE_K0)
     while todo.size:
-        block = max(1, _REPAIR_BLOCK_ENTRIES // k)
+        block = max(1, _SITE_BLOCK_ENTRIES // k)
         unresolved = []
         for start in range(0, todo.size, block):
-            rows = todo[start:start + block]
-            q = query[rows]
-            cand = tree.query(site_xy[q], k=k)[1].reshape(rows.size, k)
+            q = todo[start:start + block]
+            cand = tree.query(site_xy[q], k=k)[1].reshape(q.size, k)
             dx = site_xy[cand, 0] - site_xy[q, 0][:, None]
             dy = site_xy[cand, 1] - site_xy[q, 1][:, None]
             d2 = dx * dx + dy * dy
@@ -179,16 +178,17 @@ def _nearest_other_site(site_xy: np.ndarray, lowest: np.ndarray,
             m = d2.min(axis=1)
             done = (kth > m) | (k == ns)
             best = np.where(other & (d2 == m[:, None]), lowest[cand], _NO_SITE)
-            d2min[rows[done]] = m[done]
-            winner[rows[done]] = best[done].min(axis=1)
-            unresolved.append(rows[~done])
+            d2min[q[done]] = m[done]
+            winner[q[done]] = best[done].min(axis=1)
+            unresolved.append(q[~done])
         todo = np.concatenate(unresolved)
         k = min(ns, 4 * k)
     return d2min, winner
 
 
-def _repair_ties(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Exact lowest-index NN of the points ``rows``, by brute-force rules.
+def _nn_sites(coords: np.ndarray) -> np.ndarray:
+    """Exact lowest-index NN of every point of one ``(n, 2)`` set, by the
+    rules of ``_nn_brute``, searched over its sites rather than its points.
 
     Members of a site sit at squared distance 0 from each other, so a
     point whose site has several members takes the lowest-index other
@@ -199,22 +199,28 @@ def _repair_ties(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     n = coords.shape[0]
     order, starts = _point_sites(coords)
     first = np.flatnonzero(starts)  # sorted position of each site's first member
-    site_of = np.empty(n, dtype=np.intp)
-    site_of[order] = np.cumsum(starts) - 1
     lowest = order[first]
-    size = np.diff(first, append=n)
-    s = site_of[rows]
-    query, slot = np.unique(s, return_inverse=True)
-    d2min, winner = _nearest_other_site(coords[lowest], lowest, query)
-    m, w = d2min[slot], winner[slot]
-    own = np.where(rows == lowest[s], order[np.minimum(first[s] + 1, n - 1)], lowest[s])
-    take_own = (size[s] > 1) & ((m > 0) | (own < w))
-    return np.where(take_own, own, w)
+    d2min, winner = _nearest_other_site(coords[lowest], lowest)
+    # everything below runs over the points in sorted order
+    site = np.cumsum(starts) - 1
+    shared = np.diff(first, append=n)[site] > 1
+    m, w = d2min[site], winner[site]
+    # a site's first member takes the next one; every later member the first
+    own = np.where(starts, np.roll(order, -1), lowest[site])
+    nn = np.empty(n, dtype=np.intp)
+    nn[order] = np.where(shared & ((m > 0) | (own < w)), own, w)
+    return nn
 
 
 def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     """kd-tree nearest neighbor indices of one ``(n, 2)`` set or of each set
-    of an ``(..., n, 2)`` stack, with exact lowest-index tie repair.
+    of an ``(..., n, 2)`` stack, by the lowest-index rule of ``_nn_brute``.
+
+    A set of n > 2 points with distinct x-coordinates holds no duplicate, so
+    one k = 3 query answers it when every point's second distance is positive
+    (the first is the point itself) and below its third (no tie).  Any other
+    set (a repeated x, n <= 2, a tie, a distance underflowing to 0) goes as a
+    whole to the exact search ``_nn_sites``.
 
     scipy is imported here, on the kd-tree path only, so that importing the
     package and searching small sets by brute force never load it.
@@ -224,21 +230,14 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
     nn = np.empty(flat.shape[:2], dtype=np.intp)
-    rows = np.arange(n)
     for c, out in zip(flat, nn):
-        dist, idx = cKDTree(c).query(c, k=min(n, 3))
-        nonself = idx != rows[:, None]
-        first = nonself.argmax(axis=1)
-        out[:] = idx[rows, first]
-        dmin = dist[rows, first]
-        # a tie needs repair when several returned neighbors sit at the minimum
-        # distance, or when the last returned distance equals it (further tied
-        # candidates may have been truncated by k)
-        multiple = np.count_nonzero(nonself & (dist == dmin[:, None]), axis=1) > 1
-        truncated = dist[:, -1] <= dmin
-        tied = np.flatnonzero(multiple | truncated)
-        if tied.size:
-            out[tied] = _repair_ties(c, tied)
+        x = np.sort(c[:, 0])
+        if n > 2 and (x[1:] != x[:-1]).all():
+            dist, idx = cKDTree(c).query(c, k=3)
+            if ((dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])).all():
+                out[:] = idx[:, 1]
+                continue
+        out[:] = _nn_sites(c)
     return nn.reshape(coords.shape[:-1])
 
 

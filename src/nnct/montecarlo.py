@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_seed
 from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
@@ -84,12 +84,6 @@ class PatternSpec:
     @classmethod
     def association(cls, n1: int, n2: int, r: float) -> "PatternSpec":
         return cls(kind="association", n1=n1, n2=n2, param=float(r))
-
-
-def check_seed(seed: int) -> None:
-    """The seed rule of every study and Q/R estimate: a nonnegative integer."""
-    if seed < 0:
-        raise InvalidArgumentError("seed must be a nonnegative integer")
 
 
 def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:

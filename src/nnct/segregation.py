@@ -40,7 +40,7 @@ from .contingency import (
     expected_counts,
     tabulate_pairs,
 )
-from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError
+from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError, check_seed
 from .geometry import LabeledPointSet, compute_nn
 from .numerics import chi2_sf, generalized_inverse, normal_sf
 
@@ -278,6 +278,7 @@ def permutation_pvalue(
     """
     if n_perm < 99:
         raise InvalidArgumentError(f"need at least 99 permutations, got {n_perm}")
+    check_seed(seed)
     n1, n2 = pts.class_sizes
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)

@@ -130,6 +130,19 @@ class TestRandomInvariants:
         for n in (2, 3, 10, 57, 400, 700):
             coords = rng.random((n, 2))
             assert np.array_equal(_nn_brute(coords), _nn_kdtree(coords))
+        # every x differs, yet the k = 3 pass cannot be trusted: exact ties,
+        # distances that underflow to 0, or 0.0 beside -0.0
+        t = rng.permutation(300).astype(float)
+        line = np.column_stack([t, 2 * t])  # interior points tie left and right
+        i, j = np.divmod(np.arange(256), 16)
+        lattice = np.column_stack([16 * i - j, i + 16 * j]).astype(float)
+        # pairs 1e-200 apart in x: each point sits at distance 0 from its partner
+        k = np.arange(50)
+        underflow = np.column_stack([k * 1e-200, k // 2]).astype(float)
+        signed_zero = rng.random((40, 2))
+        signed_zero[[3, 17], 0] = 0.0, -0.0
+        for coords in (line, lattice[rng.permutation(256)], underflow, signed_zero):
+            assert np.array_equal(_nn_brute(coords), _nn_kdtree(coords))
 
     def test_kdtree_tie_repair_on_grid(self):
         # integer grid: every interior point has 4 equidistant neighbors
@@ -139,7 +152,8 @@ class TestRandomInvariants:
 
 
 # ---------------------------------------------------------------------------
-# tie repair: the kd-tree path must reproduce the brute-force lowest-index rule
+# ties and duplicates: the kd-tree path must reproduce the brute-force
+# lowest-index rule
 
 small_int = st.integers(-6, 6)
 
@@ -194,7 +208,7 @@ class TestTieRepair:
 
     def test_ring_of_tied_sites_beyond_first_round(self):
         # the 12 lattice points at distance 5 from the centre tie for its NN,
-        # more than the repair's first candidate count holds
+        # more than the site search's first candidate count holds
         ring = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -218,7 +232,19 @@ class TestTieRepair:
             expected = np.minimum(expected, np.where(inside, neighbour, cell.size))
         assert np.array_equal(compute_nn(pts(coords)).nn_index, expected)
 
-    def test_points_on_two_sites(self):
+    def test_points_on_two_sites(self, monkeypatch):
+        # the search builds trees over the sites only, never one over the
+        # points, whose duplicate-heavy query is quadratic
+        import scipy.spatial
+
+        sizes = []
+        tree = scipy.spatial.cKDTree
+
+        def spy(data, *args, **kwargs):
+            sizes.append(len(data))
+            return tree(data, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", spy)
         rng = np.random.default_rng(12)
         site = rng.integers(0, 2, 3000)
         coords = np.array([[0.25, 0.25], [0.75, 0.75]])[site]
@@ -230,6 +256,7 @@ class TestTieRepair:
         nns = compute_nn(pts(coords))
         assert np.array_equal(nns.nn_index, expected)
         assert nns.R == 4
+        assert sizes and max(sizes) <= 2
 
     def test_duplicate_flag(self):
         assert not pts([(0, 0), (1, 0), (0, 1)]).has_duplicate_points()

@@ -12,6 +12,7 @@ from nnct import (
     ContingencyTable,
     CovarianceModel,
     DegenerateTestError,
+    InvalidArgumentError,
     InvalidInputError,
     LabeledPointSet,
     build_nnct,
@@ -323,6 +324,8 @@ class TestPermutation:
             permutation_pvalue(single, "dixon_overall", n_perm=999, seed=1)
         with pytest.raises(InvalidInputError):
             permutation_pvalue(p, "no_such_test", n_perm=99, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            permutation_pvalue(p, "dixon_overall", n_perm=999, seed=-1)
 
     @pytest.mark.parametrize("seed", [1, 14])
     def test_ties_with_the_observed_statistic_count(self, seed):
