@@ -43,6 +43,10 @@ _SITE_K0 = 8
 # (sites x k) candidates per block: its dozen temporaries stay near 3 MB, far
 # below what ingesting and searching large inputs already holds
 _SITE_BLOCK_ENTRIES = 1 << 15
+# points per k = 3 query of the trusted pass, taken in the tree's leaf order so
+# that consecutive queries walk the same leaves; the results held at once are
+# (block, 3) arrays instead of the whole set's (n, 3)
+_KD_BLOCK = 1 << 14
 _NO_SITE = np.iinfo(np.intp).max
 
 
@@ -88,8 +92,10 @@ class LabeledPointSet:
         return n1, self.n - n1
 
     def has_duplicate_points(self) -> bool:
-        """True when two points share exact coordinates."""
-        return not _point_sites(self.points)[1].all()
+        """True when two points share exact coordinates.  Points with
+        distinct x-coordinates cannot coincide, so only a set with a
+        repeated x is sorted into sites."""
+        return not (_distinct_x(self.points) or _point_sites(self.points)[1].all())
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,13 @@ def _nn_brute(coords: np.ndarray) -> np.ndarray:
     return nn.reshape(coords.shape[:-1])
 
 
+def _distinct_x(coords: np.ndarray) -> bool:
+    """True when no two points of one ``(n, 2)`` set share an x-coordinate
+    (0.0 and -0.0 compare equal), so that no two of them coincide."""
+    x = np.sort(coords[:, 0])
+    return bool((x[1:] != x[:-1]).all())
+
+
 def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group points that share exact coordinates into sites.
 
@@ -136,7 +149,10 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``starts[t]`` is True where position ``t`` of that order begins a new
     site.  Coordinates compare by value, so 0.0 and -0.0 share a site.
     """
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    # numpy orders complex numbers by real, then imaginary part: viewed as
+    # x + iy, one stable sort gives the (x, y) order of a two-key lexsort
+    xy = np.ascontiguousarray(coords, dtype=np.float64).view(np.complex128)
+    order = np.argsort(xy[:, 0], kind="stable")
     ordered = coords[order]
     starts = np.empty(order.shape[0], dtype=bool)
     starts[0] = True
@@ -160,8 +176,8 @@ def _nearest_other_site(site_xy: np.ndarray,
     ns = site_xy.shape[0]
     d2min = np.full(ns, np.inf)
     winner = np.full(ns, _NO_SITE, dtype=np.intp)
-    tree = cKDTree(site_xy)
-    todo = np.arange(ns)
+    tree = cKDTree(site_xy, balanced_tree=False)
+    todo = tree.indices  # leaf order: consecutive queries visit nearby sites
     k = min(ns, _SITE_K0)
     while todo.size:
         block = max(1, _SITE_BLOCK_ENTRIES // k)
@@ -217,10 +233,13 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     of an ``(..., n, 2)`` stack, by the lowest-index rule of ``_nn_brute``.
 
     A set of n > 2 points with distinct x-coordinates holds no duplicate, so
-    one k = 3 query answers it when every point's second distance is positive
-    (the first is the point itself) and below its third (no tie).  Any other
-    set (a repeated x, n <= 2, a tie, a distance underflowing to 0) goes as a
-    whole to the exact search ``_nn_sites``.
+    k = 3 queries answer it when every point's second distance is positive
+    (the first is the point itself) and below its third (no tie).  The tree
+    is built unbalanced, which saves more in the build than it costs in the
+    queries, and the points are queried in its leaf order, ``_KD_BLOCK`` at
+    a time.  Any other set (a repeated x, n <= 2, a tie in any block, a
+    distance underflowing to 0) goes as a whole to the exact search
+    ``_nn_sites``, which overwrites every row already answered.
 
     scipy is imported here, on the kd-tree path only, so that importing the
     package and searching small sets by brute force never load it.
@@ -231,11 +250,15 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     flat = coords.reshape(-1, n, 2)
     nn = np.empty(flat.shape[:2], dtype=np.intp)
     for c, out in zip(flat, nn):
-        x = np.sort(c[:, 0])
-        if n > 2 and (x[1:] != x[:-1]).all():
-            dist, idx = cKDTree(c).query(c, k=3)
-            if ((dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])).all():
-                out[:] = idx[:, 1]
+        if n > 2 and _distinct_x(c):
+            tree = cKDTree(c, balanced_tree=False)
+            for start in range(0, n, _KD_BLOCK):
+                rows = tree.indices[start:start + _KD_BLOCK]
+                dist, idx = tree.query(c[rows], k=3)
+                if not ((dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])).all():
+                    break
+                out[rows] = idx[:, 1]
+            else:
                 continue
         out[:] = _nn_sites(c)
     return nn.reshape(coords.shape[:-1])

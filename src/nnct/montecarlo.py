@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import InvalidArgumentError, check_seed
+from .errors import InvalidArgumentError, InvalidInputError, check_seed
 from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
@@ -96,22 +96,27 @@ def generate(spec: PatternSpec, rng: np.random.Generator) -> LabeledPointSet:
     ~ U(0, 2 pi).  Offsets may land outside the unit square; they are kept
     as generated.
     """
+    return LabeledPointSet(_draw_points(spec, rng), np.repeat([1, 2], [spec.n1, spec.n2]))
+
+
+def _draw_points(spec: PatternSpec, rng: np.random.Generator) -> np.ndarray:
+    """The ``(n1 + n2, 2)`` coordinates of ``generate``, class 1 first, from
+    the same rng calls, unvalidated: a study checks its stacked draws once."""
     n1, n2 = spec.n1, spec.n2
-    labels = np.repeat([1, 2], [n1, n2])
     if spec.kind == "csr":
-        return LabeledPointSet(rng.random((n1 + n2, 2)), labels)
+        return rng.random((n1 + n2, 2))
     if spec.kind == "segregation":
         width = 1.0 - spec.param
         x = rng.random((n1, 2)) * width
         y = spec.param + rng.random((n2, 2)) * width
-        return LabeledPointSet(np.vstack([x, y]), labels)
+        return np.vstack([x, y])
     # association
     x = rng.random((n1, 2))
     anchor = rng.integers(0, n1, size=n2)
     radius = rng.uniform(0.0, spec.param, size=n2)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n2)
     y = x[anchor] + radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-    return LabeledPointSet(np.vstack([x, y]), labels)
+    return np.vstack([x, y])
 
 
 @dataclass(frozen=True)
@@ -242,15 +247,19 @@ def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
     """NN digraphs of replications [lo, hi) of ``n`` points each.
 
     Replication ``rep`` draws its ``(n, 2)`` points as ``draw(rng)`` from
-    its own stream ``default_rng([*key, rep])``.  Yields ``(rows, nn, q,
-    r)`` per sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)``
-    NN indices and their Q and R.
+    its own stream ``default_rng([*key, rep])``; a non-finite coordinate
+    raises ``InvalidInputError``.  Yields ``(rows, nn, q, r)`` per
+    sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)`` NN indices
+    and their Q and R.
     """
     step = max(1, _DRAW_BLOCK // (2 * n))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        nn = _nn_stack(np.stack([draw(np.random.default_rng([*key, rep]))
-                                 for rep in range(start, stop)]))
+        coords = np.stack([draw(np.random.default_rng([*key, rep]))
+                           for rep in range(start, stop)])
+        if not np.isfinite(coords).all():
+            raise InvalidInputError("coordinates must be finite")
+        nn = _nn_stack(coords)
         _, q, r = digraph_q_r(nn)
         yield slice(start - lo, stop - lo), nn, q, r
 
@@ -333,8 +342,7 @@ def _rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
     counts = np.empty((reps, 2, 2), dtype=np.int64)
     q_obs = np.empty(reps)
     r_obs = np.empty(reps)
-    for rows, nn, q, r in _digraphs(key, lambda rng: generate(spec, rng).points,
-                                    n, lo, hi):
+    for rows, nn, q, r in _digraphs(key, partial(_draw_points, spec), n, lo, hi):
         q_obs[rows] = q
         r_obs[rows] = r
         counts[rows] = tabulate_pairs(labels, nn)

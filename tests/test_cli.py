@@ -249,7 +249,7 @@ class TestSimulate:
 
     def test_degenerate_replications_summarized_on_stderr(self, tmp_path, capsys,
                                                           monkeypatch):
-        monkeypatch.setattr(montecarlo, "generate", mutual_pairs)
+        monkeypatch.setattr(montecarlo, "_draw_points", mutual_pairs)
         prefix = str(tmp_path / "deg")
         code = main([
             "simulate", "size", "--combos", "10,10", "--nmc", "7", "--seed", "2",

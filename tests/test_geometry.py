@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnct import InvalidInputError, LabeledPointSet, compute_nn
+from nnct import InvalidInputError, LabeledPointSet, compute_nn, geometry
 from nnct.contingency import tabulate_pairs
 from nnct.geometry import (
     _BRUTE_FORCE_MAX,
+    _KD_BLOCK,
     _nn_brute,
     _nn_kdtree,
+    _point_sites,
     digraph_q_r,
     structure_from_nn_index,
 )
@@ -261,6 +263,103 @@ class TestTieRepair:
     def test_duplicate_flag(self):
         assert not pts([(0, 0), (1, 0), (0, 1)]).has_duplicate_points()
         assert pts([(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)]).has_duplicate_points()
+
+    def test_duplicate_flag_matches_unique_rows(self):
+        rng = np.random.default_rng(14)
+        sets = [rng.random((n, 2)) for n in (2, 3, 50, 1000)]
+        for n in (2, 40, 500):  # a repeated x, and no two points coincide
+            c = rng.random((n, 2))
+            c[::2, 0] = c[1::2, 0]
+            sets.append(c)
+        for n in (2, 9, 300):  # signed zeros: x all ±0.0, then y too
+            zeros = rng.choice([0.0, -0.0], n)
+            sets += [np.column_stack([zeros, np.arange(n)]),
+                     np.column_stack([zeros, rng.choice([0.0, -0.0], n)])]
+        for n in (3, 60, 700):  # one planted duplicate
+            c = rng.random((n, 2))
+            c[-1] = c[int(rng.integers(0, n - 1))]
+            sets.append(c)
+        for c in sets:
+            expected = len(np.unique(c, axis=0)) < len(c)
+            assert pts(c).has_duplicate_points() == expected
+
+
+@st.composite
+def signed_zero_sets(draw):
+    """Coordinates from a few values, ±0.0 among them, so that duplicates,
+    shared x and shared y are common."""
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300])
+    xy = draw(st.lists(st.tuples(values, values), min_size=1, max_size=60))
+    return np.array(xy, dtype=float)
+
+
+class TestPointSites:
+    @settings(max_examples=100, deadline=None)
+    @given(signed_zero_sets())
+    def test_order_is_the_two_key_lexsort(self, coords):
+        order, starts = _point_sites(coords)
+        expected = np.lexsort((coords[:, 1], coords[:, 0]))
+        assert np.array_equal(order, expected)
+        ordered = coords[expected]
+        assert starts.tolist() == [True] + [
+            bool((a != b).any()) for a, b in zip(ordered[1:], ordered[:-1])]
+
+
+def lowest_index_nn(coords: np.ndarray, rows: int = 128) -> np.ndarray:
+    """Reference lowest-index NN, by the squared distances ``_nn_brute``
+    computes, a block of rows at a time so that large sets fit in memory."""
+    x, y = coords[:, 0], coords[:, 1]
+    nn = np.empty(len(coords), dtype=np.intp)
+    for s in range(0, len(coords), rows):
+        dx = x[s:s + rows, None] - x
+        dy = y[s:s + rows, None] - y
+        d2 = dx * dx + dy * dy
+        d2[np.arange(d2.shape[0]), np.arange(s, s + d2.shape[0])] = np.inf
+        nn[s:s + rows] = d2.argmin(axis=1)
+    return nn
+
+
+class TestKdBlocks:
+    """The trusted k = 3 pass answers a set ``_KD_BLOCK`` points at a time,
+    in the tree's leaf order; a defect in any block, not only the first,
+    sends the whole set to the exact search."""
+
+    @pytest.mark.parametrize("n", [_KD_BLOCK, _KD_BLOCK + 1])
+    def test_block_boundary_sizes(self, n):
+        coords = np.random.default_rng(n).random((n, 2))
+        assert np.array_equal(_nn_kdtree(coords), lowest_index_nn(coords))
+
+    @pytest.mark.parametrize("block", [32, 33])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_small_blocks_at_their_boundary(self, monkeypatch, block, extra):
+        monkeypatch.setattr(geometry, "_KD_BLOCK", block)
+        for seed in range(5):
+            coords = np.random.default_rng(seed).random((block + extra, 2))
+            assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    @pytest.mark.parametrize("defect", ["duplicate", "tie", "underflow"])
+    def test_defect_planted_after_the_first_block(self, monkeypatch, defect):
+        from scipy.spatial import cKDTree
+
+        block = 32
+        monkeypatch.setattr(geometry, "_KD_BLOCK", block)
+        rng = np.random.default_rng(15)
+        # a cloud on [-2, 0] x [0, 1]: the tree splits x first, so points
+        # at x >= 0 come last in its leaf order
+        cloud = rng.random((300, 2)) * [2.0, 1.0] - [2.0, 0.0]
+        a = np.array([0.0, 0.5])
+        planted = {
+            "duplicate": [a, a + [2.0**-8, 0.0], a + [2.0**-8, 0.0]],
+            # b and c lie at exactly the same distance from a, all x differ
+            "tie": [a, a + [2.0**-8, 2.0**-7], a + [2.0**-7, 2.0**-8]],
+            # x differs by 1e-300, whose square underflows to 0
+            "underflow": [a, a + [1e-300, 0.0], a + [2.0**-8, 0.0]],
+        }[defect]
+        coords = np.vstack([cloud, planted])[rng.permutation(303)]
+        at = np.argsort(cKDTree(coords, balanced_tree=False).indices)
+        defect_rows = np.flatnonzero(coords[:, 0] >= 0)
+        assert at[defect_rows].min() >= block  # none of them in the first block
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
 
 
 # ---------------------------------------------------------------------------

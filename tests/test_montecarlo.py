@@ -351,7 +351,7 @@ class TestStackedReplications:
 
 class TestDegenerateReplications:
     def test_counted_as_non_rejections_and_kept_in_the_denominator(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "generate", mutual_pairs)
+        monkeypatch.setattr(montecarlo, "_draw_points", mutual_pairs)
         report = empirical_size([(10, 10)], _tiny_config(n_mc=7))
         for row in report.rows:
             undefined = row.flavor == "dixon_overall" and row.qr_mode == "observed"
@@ -360,6 +360,17 @@ class TestDegenerateReplications:
             assert row.rejection_rate == (0.0 if undefined else 1.0)
         rows = json.loads(report.to_json())["rows"]
         assert [r["n_degenerate"] for r in rows] == [r.n_degenerate for r in report.rows]
+
+    def test_non_finite_draw_is_invalid_input(self, monkeypatch):
+        # study draws skip LabeledPointSet; each stacked sub-block is checked
+        def one_nan(spec, rng):
+            coords = mutual_pairs(spec, rng)
+            coords[7, 1] = np.nan
+            return coords
+
+        monkeypatch.setattr(montecarlo, "_draw_points", one_nan)
+        with pytest.raises(InvalidInputError, match="coordinates must be finite"):
+            _rejection_chunk("csr", 0.0, 10, 10, 1, 0.05, 12.6, 12.4, 0, 3)
 
 
 class TestEmpiricalPower:
