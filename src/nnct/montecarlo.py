@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -44,6 +44,17 @@ _CHUNK = 500
 # drawn, stacked and searched together, and a chunk's memory stays that of
 # one sub-block at any n
 _DRAW_BLOCK = 1 << 12
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx),
+# with its default pool of 4 uint32 words
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_POOL = 4
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -243,20 +254,116 @@ def _band_flag(rate: float, band: tuple[float, float]) -> str:
     return "ok"
 
 
+def _hashmix(value, hash_const: int):
+    """numpy's ``hashmix`` of ``value`` (a uint32 as a Python int or a uint32
+    array) under multiplier ``hash_const``: the hash and the next multiplier."""
+    mult = hash_const * _SS_MULT_A & _MASK32
+    value = (value ^ hash_const) * mult & _MASK32
+    return value ^ value >> 16, mult
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two uint32 values, Python ints or uint32 arrays."""
+    value = ((_SS_MIX_L * x & _MASK32) - (_SS_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(key: tuple, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence([*key, rep]).generate_state(4, np.uint64)`` for every
+    ``rep`` in [lo, hi), as a ``(hi - lo, 4)`` uint64 array.
+
+    This is numpy's SeedSequence (pool of 4 words, ``hashmix``/``mix`` over
+    the entropy words, ``INIT_B``/``MULT_B`` output hashing read
+    little-endian), run once for the whole range: the key's words are hashed
+    as Python ints while they are the same for every rep, and the rest as
+    uint32 arrays over the reps.  Each nonnegative int of the entropy is its
+    uint32 words, low word first, and 0 is one word, as in numpy; reps with
+    as many words are hashed together.
+    """
+    prefix = []
+    for k in key:
+        k = int(k)
+        prefix.extend((k >> s) & _MASK32 for s in range(0, max(k.bit_length(), 1), 32))
+    out = np.empty((hi - lo, 2 * _SS_POOL), dtype=np.uint32)
+    # reps below 2**32 are one word, the rest two (a rep is below 2**64)
+    for a, b, n_words in ((lo, min(hi, 1 << 32), 1), (max(lo, 1 << 32), hi, 2)):
+        if a >= b:
+            continue
+        reps = np.arange(a, b, dtype=np.uint64)
+        entropy = prefix + [(reps >> np.uint64(32 * j)).astype(np.uint32)
+                            for j in range(n_words)]
+        entropy += [0] * (_SS_POOL - len(entropy))
+        hash_const = _SS_INIT_A
+        pool = []
+        for word in entropy[:_SS_POOL]:
+            value, hash_const = _hashmix(word, hash_const)
+            pool.append(value)
+        for src in range(_SS_POOL):
+            for dst in range(_SS_POOL):
+                if src != dst:
+                    value, hash_const = _hashmix(pool[src], hash_const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in entropy[_SS_POOL:]:
+            for dst in range(_SS_POOL):
+                value, hash_const = _hashmix(word, hash_const)
+                pool[dst] = _mix(pool[dst], value)
+        hash_const = _SS_INIT_B
+        for i in range(2 * _SS_POOL):
+            value = pool[i % _SS_POOL] ^ hash_const
+            hash_const = hash_const * _SS_MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            out[a - lo:b - lo, i] = value ^ value >> 16
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _word_seed_class():
+    """An ``ISeedSequence`` class built on the 4 uint64 seed words of one
+    ``_seed_words`` row: ``PCG64(_word_seed_class()(words))`` is the bit
+    generator of ``default_rng`` on the entropy of those words.
+
+    Its instances raise on any other request, so a numpy whose PCG64 seeds
+    itself differently fails here instead of drawing other streams.  The
+    class is made on first use, with the import of ``numpy.random``, which
+    ``import nnct`` does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class WordSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"PCG64 asked its seed for ({n_words}, {np.dtype(dtype)}); "
+                    "the precomputed stream seeds are (4, uint64)")
+            return self.words
+
+    return WordSeed
+
+
 def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
     """NN digraphs of replications [lo, hi) of ``n`` points each.
 
     Replication ``rep`` draws its ``(n, 2)`` points as ``draw(rng)`` from
-    its own stream ``default_rng([*key, rep])``; a non-finite coordinate
-    raises ``InvalidInputError``.  Yields ``(rows, nn, q, r)`` per
-    sub-block: its slice ``rows`` of [lo, hi), its ``(sets, n)`` NN indices
-    and their Q and R.
+    its own stream, the generator of ``default_rng([*key, rep])``, whose
+    seed words come from one ``_seed_words`` call for all of [lo, hi); a
+    non-finite coordinate raises ``InvalidInputError``.  Yields
+    ``(rows, nn, q, r)`` per sub-block: its slice ``rows`` of [lo, hi), its
+    ``(sets, n)`` NN indices and their Q and R.  (A permutation p-value
+    keeps ``default_rng``: it builds 16 generators per call, fewer than
+    pay back ``_seed_words``' fixed cost of ~0.25 ms.)
     """
+    from numpy.random import PCG64, Generator
+
+    word_seed = _word_seed_class()
+    words = _seed_words(key, lo, hi)
     step = max(1, _DRAW_BLOCK // (2 * n))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        coords = np.stack([draw(np.random.default_rng([*key, rep]))
-                           for rep in range(start, stop)])
+        coords = np.stack([draw(Generator(PCG64(word_seed(w))))
+                           for w in words[start - lo:stop - lo]])
         if not np.isfinite(coords).all():
             raise InvalidInputError("coordinates must be finite")
         nn = _nn_stack(coords)

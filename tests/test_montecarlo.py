@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnct import (
     InvalidArgumentError,
@@ -32,8 +34,11 @@ from nnct.montecarlo import (
     _STREAM_POWER,
     _STREAM_QR,
     _STREAM_SIZE,
+    _digraphs,
     _qr_chunk,
     _rejection_chunk,
+    _seed_words,
+    _word_seed_class,
 )
 from nnct.segregation import OVERALL_FLAVORS, version_I, version_II, version_III
 
@@ -347,6 +352,57 @@ class TestStackedReplications:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+_SEED = st.integers(0, 2**96)
+_KEY_INT = st.integers(0, 2**33)
+
+
+class TestStreamSeeds:
+    """A chunk computes its replications' seed words at once; every stream
+    must stay that of ``default_rng([*key, rep])``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.one_of(
+        st.tuples(_SEED, st.just(_STREAM_QR), _KEY_INT),
+        st.tuples(_SEED, st.just(_STREAM_SIZE), _KEY_INT, _KEY_INT),
+        st.tuples(_SEED, st.just(_STREAM_POWER), st.sampled_from(sorted(_ALT_CODES.values())),
+                  _KEY_INT, _KEY_INT, _KEY_INT),
+    ))
+    def test_seed_words_are_numpys_seed_sequence(self, key):
+        # reps 0 and 1, and reps on both sides of 2**32 (one and two words)
+        for lo, hi in ((0, 2), (2**32 - 2, 2**32 + 2)):
+            got = _seed_words(key, lo, hi)
+            expected = [np.random.SeedSequence([*key, rep]).generate_state(4, np.uint64)
+                        for rep in range(lo, hi)]
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("key, n, lo, hi", [
+        ((7, _STREAM_QR, 30), 30, 0, 5),
+        ((2**64 + 5, _STREAM_SIZE, 10, 20), 30, 495, 500),
+        ((3, _STREAM_QR, 300), 300, 10, 19),  # two sub-blocks, kd-tree search
+    ])
+    def test_digraphs_draw_each_replication_from_its_stream(self, key, n, lo, hi):
+        drawn = []
+
+        def draw(rng):
+            drawn.append(rng.random((n, 2)))
+            return drawn[-1]
+
+        nn = np.concatenate([block for _, block, _, _ in _digraphs(key, draw, n, lo, hi)])
+        expected = [np.random.default_rng([*key, rep]).random((n, 2)) for rep in range(lo, hi)]
+        assert np.array_equal(drawn, expected)
+        assert np.array_equal(nn, [compute_nn(LabeledPointSet(c, np.ones(n))).nn_index
+                                   for c in expected])
+
+    def test_seed_adapter_answers_only_pcg64s_request(self):
+        words = _seed_words((1, _STREAM_QR, 10), 0, 1)[0]
+        seed = _word_seed_class()(words)
+        assert seed.generate_state(4, np.uint64) is words
+        for n_words, dtype in [(4, np.uint32), (8, np.uint32), (8, np.uint64), (2, np.uint64)]:
+            with pytest.raises(RuntimeError, match="precomputed stream seeds"):
+                seed.generate_state(n_words, dtype)
 
 
 class TestDegenerateReplications:

@@ -33,3 +33,25 @@ def test_import_loads_no_scipy_until_the_kdtree_runs():
     assert out[1] == "[]"  # after import nnct
     assert out[2] == "[]"  # after a brute-force search (n = 60)
     assert out[3] == "True"  # the kd-tree search (n = 200) loaded scipy.spatial
+
+
+_RANDOM_PROBE = """
+import sys
+import numpy
+
+def random_modules():
+    return {m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random.")}
+
+before = random_modules()
+import nnct
+print(sorted(random_modules() - before))
+"""
+
+
+def test_import_loads_no_numpy_random_beyond_numpy():
+    # numpy 2 imports numpy.random on first use (numpy 1.x with numpy itself);
+    # the Monte Carlo streams import it when a chunk runs
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
