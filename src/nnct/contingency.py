@@ -141,11 +141,6 @@ class CovarianceModel:
     real-valued (the adjusted tests substitute estimated expectations).
     """
 
-    n1: int
-    n2: int
-    n: int
-    q_used: float
-    r_used: float
     expected: np.ndarray
     sigma_full: np.ndarray
 
@@ -239,13 +234,8 @@ def covariance_model(n1: int, n2: int, n: int, q: float, r: float) -> Covariance
     q, r : float
         Shared-NN and reflexive statistics (see ``cell_covariance``).
     """
-    sigma = cell_covariance(n1, n2, n, q, r)
+    # the covariance first: its check of the margins (n >= 4) is the stricter
     return CovarianceModel(
-        n1=n1,
-        n2=n2,
-        n=n,
-        q_used=float(q),
-        r_used=float(r),
+        sigma_full=cell_covariance(n1, n2, n, q, r),
         expected=expected_counts(n1, n2, n),
-        sigma_full=sigma,
     )

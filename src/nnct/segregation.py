@@ -225,9 +225,8 @@ def run_battery_from_table(
 def run_battery(
     pts: LabeledPointSet,
     qr: tuple[float, float] | None = None,
-    alternative: str = "two-sided",
 ) -> list[TestResult]:
-    """Full test battery for a labeled point set.
+    """Full test battery for a labeled point set, with two-sided cell tests.
 
     With ``qr=None`` the variances use the point set's own Q and R; a
     ``(q, r)`` pair, such as ``adjusted_qr(...)``, keeps the same table and
@@ -236,7 +235,7 @@ def run_battery(
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
     q, r = qr if qr is not None else (nns.Q, nns.R)
-    return run_battery_from_table(nnct, q, r, alternative)
+    return run_battery_from_table(nnct, q, r)
 
 
 _PERM_STREAM_TAG = 4
@@ -256,15 +255,14 @@ def permutation_pvalue(
     flavor: str,
     n_perm: int,
     seed: int,
-    qr: tuple[float, float] | None = None,
 ) -> float:
     """Random-labeling permutation p-value for one test flavor.
 
     Labels are permuted uniformly over the fixed point set; the NN digraph,
     margins, Q and R are all invariant, so only the table (and for tests
-    that use them, the column sums) changes per permutation.  ``qr`` picks
-    the Q and R of the variances as in ``run_battery``.  Cell flavors are
-    two-sided: extremeness is |Z|.  Returns
+    that use them, the column sums) changes per permutation.  A permutation
+    test is a random-labeling test, so its variances use the set's own Q
+    and R.  Cell flavors are two-sided: extremeness is |Z|.  Returns
     (1 + #{permuted statistic >= observed}) / (1 + n_perm), where a
     statistic within a relative 1e-9 below the observed one counts as a tie
     and a permuted labeling whose statistic is undefined does not count.
@@ -282,8 +280,7 @@ def permutation_pvalue(
     n1, n2 = pts.class_sizes
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
-    q, r = qr if qr is not None else (nns.Q, nns.R)
-    sigma = cell_covariance(n1, n2, pts.n, q, r)
+    sigma = cell_covariance(n1, n2, pts.n, nns.Q, nns.R)
 
     def extremeness(counts):
         stats = _statistic_only(flavor, counts, sigma)

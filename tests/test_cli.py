@@ -12,6 +12,7 @@ import pytest
 from nnct import (
     CSR_Q_PER_POINT,
     CSR_R_PER_POINT,
+    ContingencyTable,
     InvalidInputError,
     ParseError,
     estimate_qr,
@@ -19,6 +20,7 @@ from nnct import (
 )
 from nnct import cli, montecarlo
 from nnct.cli import build_parser, main
+from nnct.report import AnalysisReport
 
 from conftest import DATA_DIR, mutual_pairs
 
@@ -115,6 +117,12 @@ class TestAnalyze:
         assert len(doc["tests"]) == 8
         assert doc["tests"][4]["flavor"] == "cell_Z_11"
         assert doc["tests"][4]["df"] is None
+
+    def test_row_percent_of_an_empty_row_is_zero(self):
+        # analyze rejects an empty class; a report made from a table need not
+        table = ContingencyTable.from_counts([[0, 0], [4, 6]])
+        report = AnalysisReport(False, table, 0, 0, "observed", 0.0, 0.0, (), None)
+        assert report.row_percent() == [[0.0, 0.0], [40.0, 60.0]]
 
     def test_adjusted_asymptotic_same_table_other_statistics(self, capsys):
         obs = self.run_json(capsys, FIXTURE)
@@ -472,3 +480,12 @@ def test_readme_cli_block_lists_every_parser_flag():
         assert flags == _long_flags(parser), name
     assert set(documented) == {"analyze", "simulate size", "simulate power-seg",
                                "simulate power-assoc", "estimate-qr"}
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4  # the four overall tests

@@ -12,7 +12,7 @@ from nnct import (
     covariance_model,
     expected_counts,
 )
-from nnct.contingency import _multiset_prob, tabulate_pairs
+from nnct.contingency import _multiset_prob, cell_covariance, tabulate_pairs
 
 from conftest import random_point_set
 
@@ -175,8 +175,10 @@ class TestCovarianceModel:
         assert not np.array_equal(a.sigma_full, b.sigma_full)
 
     def test_real_valued_q_r(self):
+        # the real-valued Q and R reach the covariance as they are, not rounded
         m = covariance_model(211, 183, 394, 249.68, 244.95)
-        assert m.q_used == 249.68
+        assert np.array_equal(m.sigma_full, cell_covariance(211, 183, 394, 249.68, 244.95))
+        assert not np.array_equal(m.sigma_full, cell_covariance(211, 183, 394, 250, 245))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

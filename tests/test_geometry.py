@@ -66,6 +66,11 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             pts([(0, 0)])
 
+    @pytest.mark.parametrize("coords", [np.zeros((4, 3)), np.arange(4.0)], ids=["n-by-3", "1-D"])
+    def test_points_not_n_by_2(self, coords):
+        with pytest.raises(InvalidInputError, match=r"shape \(n, 2\)"):
+            pts(coords)
+
     def test_nonfinite_coordinate(self):
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (np.nan, 1)])

@@ -47,13 +47,13 @@ from conftest import mutual_pairs
 
 class TestGenerate:
     def test_csr_shape_and_support(self):
-        pts = generate(PatternSpec.csr(30, 20), np.random.default_rng(1))
+        pts = generate(PatternSpec("csr", 30, 20), np.random.default_rng(1))
         assert pts.class_sizes == (30, 20)
         assert np.all((pts.points >= 0) & (pts.points < 1))
 
     def test_segregation_supports(self):
         s = 1 / 6
-        pts = generate(PatternSpec.segregation(500, 500, s), np.random.default_rng(2))
+        pts = generate(PatternSpec("segregation", 500, 500, s), np.random.default_rng(2))
         x1 = pts.points[pts.labels == 1]
         x2 = pts.points[pts.labels == 2]
         assert np.all(x1 < 1 - s)
@@ -62,18 +62,18 @@ class TestGenerate:
     def test_segregation_class1_mean(self):
         # class-1 coordinates are U(0, 5/6): mean 5/12, var (5/6)^2 / 12
         n1 = 10000
-        pts = generate(PatternSpec.segregation(n1, 1, 1 / 6), np.random.default_rng(3))
+        pts = generate(PatternSpec("segregation", n1, 1, 1 / 6), np.random.default_rng(3))
         xs = pts.points[pts.labels == 1][:, 0]
         se = np.sqrt((5 / 6) ** 2 / 12 / n1)
         assert abs(xs.mean() - 5 / 12) <= 3 * se
 
     def test_segregation_zero_is_unit_square(self):
-        pts = generate(PatternSpec.segregation(40, 40, 0.0), np.random.default_rng(4))
+        pts = generate(PatternSpec("segregation", 40, 40, 0.0), np.random.default_rng(4))
         assert np.all((pts.points >= 0) & (pts.points < 1))
 
     def test_association_radius_bound(self):
         r = 1e-6
-        pts = generate(PatternSpec.association(50, 80, r), np.random.default_rng(5))
+        pts = generate(PatternSpec("association", 50, 80, r), np.random.default_rng(5))
         x1 = pts.points[pts.labels == 1]
         x2 = pts.points[pts.labels == 2]
         d = np.sqrt(((x2[:, None, :] - x1[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
@@ -81,17 +81,17 @@ class TestGenerate:
 
     def test_association_not_clipped(self):
         # with a quarter-unit radius some offsets must leave the unit square
-        pts = generate(PatternSpec.association(50, 400, 0.25), np.random.default_rng(6))
+        pts = generate(PatternSpec("association", 50, 400, 0.25), np.random.default_rng(6))
         x2 = pts.points[pts.labels == 2]
         assert np.any((x2 < 0) | (x2 > 1))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
-            PatternSpec.csr(0, 5)
+            PatternSpec("csr", 0, 5)
         with pytest.raises(InvalidInputError):
-            PatternSpec.segregation(5, 5, 1.0)
+            PatternSpec("segregation", 5, 5, 1.0)
         with pytest.raises(InvalidInputError):
-            PatternSpec.association(5, 5, 0.0)
+            PatternSpec("association", 5, 5, 0.0)
         with pytest.raises(InvalidInputError):
             PatternSpec(kind="lattice", n1=5, n2=5)
 
@@ -268,7 +268,7 @@ class TestRejectionChunk:
         expected = np.zeros((4, 2), dtype=np.int64)
         for rep in range(150):
             rng = np.random.default_rng([seed, _STREAM_SIZE, n1, n2, rep])
-            pts = generate(PatternSpec.csr(n1, n2), rng)
+            pts = generate(PatternSpec("csr", n1, n2), rng)
             nns = compute_nn(pts)
             table = build_nnct(pts, nns)
             for m, (q, r) in enumerate(((nns.Q, nns.R), (q_hat, r_hat))):
@@ -295,11 +295,10 @@ def reference_qr_chunk(n, seed, lo, hi):
 def reference_rejection_chunk(kind, param, n1, n2, seed, alpha, q_hat, r_hat, lo, hi):
     """One replication at a time through ``generate``, ``compute_nn`` and the
     single-table tests; a ``DegenerateTestError`` counts as undefined."""
+    spec = PatternSpec(kind, n1, n2, param)
     if kind == "csr":
-        spec, entropy = PatternSpec.csr(n1, n2), (seed, _STREAM_SIZE, n1, n2)
+        entropy = (seed, _STREAM_SIZE, n1, n2)
     else:
-        spec = (PatternSpec.segregation(n1, n2, param) if kind == "segregation"
-                else PatternSpec.association(n1, n2, param))
         entropy = (seed, _STREAM_POWER, _ALT_CODES[kind], int(round(param * 1e9)), n1, n2)
     tests = (dixon_overall, version_I, version_II, version_III)
     out = np.zeros((2, 4, 2), dtype=np.int64)
@@ -500,7 +499,7 @@ class TestNullQuantile:
         n = n1 + n2
         reps = 10000
         stats = np.empty(reps)
-        spec = PatternSpec.csr(n1, n2)
+        spec = PatternSpec("csr", n1, n2)
         for i in range(reps):
             rng = np.random.default_rng([77, i])
             pts = generate(spec, rng)

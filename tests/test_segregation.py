@@ -149,8 +149,7 @@ class TestDixonOverall:
         # which must surface as a degenerate test, not as a LinAlgError
         sigma = np.eye(4)
         sigma[0, 3] = sigma[3, 0] = cov
-        m = CovarianceModel(n1=10, n2=10, n=20, q_used=12.0, r_used=12.0,
-                            expected=expected_counts(10, 10, 20), sigma_full=sigma)
+        m = CovarianceModel(expected=expected_counts(10, 10, 20), sigma_full=sigma)
         table = ContingencyTable.from_counts([[6, 4], [3, 7]])
         with pytest.raises(DegenerateTestError):
             dixon_overall(table, m)
