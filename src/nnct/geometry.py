@@ -21,6 +21,7 @@ by a kd-tree or an exact site search above.  Both give identical indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,9 @@ class LabeledPointSet:
     Attributes
     ----------
     points : ndarray, shape (n, 2)
-        Cartesian coordinates, finite.
+        Cartesian coordinates, finite, with a bounding box whose squared
+        diagonal is finite (the diagonal below about 1.34e154), so that no
+        squared distance overflows.
     labels : ndarray, shape (n,)
         Class label of each point, 1 or 2.
     """
@@ -74,6 +77,14 @@ class LabeledPointSet:
             raise InvalidInputError("need at least 2 points")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("coordinates must be finite")
+        # every squared distance is at most the bounding box's squared
+        # diagonal; Python floats overflow to inf without a warning.  One
+        # column at a time: min(axis=0) on an (n, 2) array is ~10x slower
+        dx, dy = (float(col.max()) - float(col.min()) for col in pts.T)
+        if not math.isfinite(dx * dx + dy * dy):
+            raise InvalidInputError(
+                "coordinates spread too far for their squared distances: the bounding "
+                "box's diagonal must stay below about 1.34e154")
         if labs.shape != (pts.shape[0],):
             raise InvalidInputError("labels must be one per point")
         if not np.all((labs == 1) | (labs == 2)):

@@ -1,9 +1,11 @@
 """Small numerical kernels: symmetric generalized inverse and the tail
 probabilities used by the tests.
 
-The quadratic-form tests work on 2x2 and 4x4 symmetric covariance matrices
-that are rank-deficient by construction, so the inverse used throughout is a
-spectral pseudo-inverse with a fixed relative eigenvalue cutoff.
+The 4x4 cell-count covariances of versions I-III are rank-deficient by
+construction.  ``generalized_inverse`` is the spectral pseudo-inverse with a
+fixed relative eigenvalue cutoff that defines those tests; the tests
+themselves evaluate it in closed form on the known 2-D range
+(``segregation._range_form``), under the same ``DEFAULT_REL_CUTOFF``.
 """
 
 from __future__ import annotations

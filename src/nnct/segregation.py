@@ -16,6 +16,9 @@ Four overall tests plus four cell-specific Z tests:
   with the generalized inverse of the cell-count covariance; 1 df.
 * ``cell_specific_test`` -- Z_ij = (N_ij - E[N_ij]) / sd, standard normal.
 
+The fixed row sums confine each covariance of versions I-III to a known 2-D
+range, so their generalized-inverse forms are 2x2 closed forms on it.
+
 Every variance and covariance depends on the digraph statistics Q and R.
 The observed values condition the tests on the realized digraph;
 substituting estimated CSR expectations (the QR-adjusted tests) removes that
@@ -42,7 +45,7 @@ from .contingency import (
 )
 from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError, check_seed
 from .geometry import LabeledPointSet, compute_nn
-from .numerics import chi2_sf, generalized_inverse, normal_sf
+from .numerics import DEFAULT_REL_CUTOFF, chi2_sf, normal_sf
 
 FLAVOR_DIXON = "dixon_overall"
 FLAVOR_I = "version_I"
@@ -62,13 +65,32 @@ class TestResult:
     p_value: float
 
 
-def _quadratic_form(vec, m):
-    """vec' m^- vec for each row of a (B, 4) stack against (B, 4, 4)
-    matrices.  Batched matmul rather than an elementwise sum: each value
-    then rounds exactly like ``vec @ g @ vec`` on one table.  The form is
-    PSD, so a value that rounds below zero is clamped to 0; NaN stays."""
-    form = (vec[:, None, :] @ generalized_inverse(m) @ vec[:, :, None])[:, 0, 0]
-    return np.maximum(form, 0.0)
+def _range_form(m11, m12, m22, y1, y2):
+    """y' M^+ y for each symmetric 2x2 M = [[m11, m12], [m12, m22]] and
+    2-vector y, elementwise over equal-shape arrays.
+
+    The cutoff is that of ``generalized_inverse``: the smaller eigenvalue
+    is dropped when det M <= DEFAULT_REL_CUTOFF * lam^2, lam the larger
+    one, leaving (v.y)^2 / lam on its unit eigenvector v, and a matrix with
+    lam <= 0 gives 0.  The form is PSD, so a value that rounds below zero
+    is clamped to 0; NaN stays NaN.
+    """
+    half_gap = 0.5 * (m11 - m22)
+    root = np.sqrt(half_gap * half_gap + m12 * m12)
+    lam = 0.5 * (m11 + m22) + root
+    det = m11 * m22 - m12 * m12
+    full = det > DEFAULT_REL_CUTOFF * lam * lam  # False on NaN
+    zero = lam <= 0.0
+    # the top eigenvector (lam - m22, m12) or (m12, lam - m11), whichever is
+    # longer; both lam - m22 = root + half_gap and lam - m11 = root - half_gap
+    # are >= 0, so the longer one has no cancellation
+    first = half_gap >= 0.0
+    v1 = np.where(first, root + half_gap, m12)
+    v2 = np.where(first, m12, root - half_gap)
+    proj = v1 * y1 + v2 * y2
+    rank1 = proj * proj / np.where(full | zero, 1.0, (v1 * v1 + v2 * v2) * lam)
+    form = (m22 * y1 * y1 - 2.0 * m12 * y1 * y2 + m11 * y2 * y2) / np.where(full, det, 1.0)
+    return np.where(zero, 0.0, np.maximum(np.where(full, form, rank1), 0.0))
 
 
 def _statistic_only(flavor, counts, sigma):
@@ -92,7 +114,6 @@ def _statistic_only(flavor, counts, sigma):
     sigma = np.broadcast_to(sigma, (b, 4, 4))
     cells = counts.reshape(b, 4).astype(float)
     c1, c2 = counts[:, 0, 0] + counts[:, 1, 0], counts[:, 0, 1] + counts[:, 1, 1]
-    cols = np.stack([c1, c2, c1, c2], axis=1).astype(float)
     bad = np.zeros(b, dtype=bool)  # undefined although the value may be finite
 
     if flavor == FLAVOR_DIXON:
@@ -104,22 +125,39 @@ def _statistic_only(flavor, counts, sigma):
         bad = ~((v11 > 0.0) & (v22 > 0.0) & (v11 * v22 - c * c > 0.0))
         block = np.where(bad[:, None, None], np.eye(2), block)
         stat = (y[:, None, :] @ np.linalg.solve(block, y[:, :, None]))[:, 0, 0]
-    elif flavor in (FLAVOR_I, FLAVOR_II):
-        # residuals against n_i C_j / n (I) or n_i n_j / n (II), scaled by
-        # the square root of that expectation, with sigma scaled alike
-        row_vec = np.array([n1, n1, n2, n2], dtype=float)
-        other = cols if flavor == FLAVOR_I else np.array([n1, n2, n1, n2], dtype=float)
-        bad = np.full(b, n1 == 0 or n2 == 0)
-        if flavor == FLAVOR_I:
-            bad |= (c1 == 0) | (c2 == 0)
-        prod = np.where(bad[:, None], 1.0, row_vec * other)
-        vec = (cells - prod / n) / np.sqrt(prod / n)
-        scale = np.sqrt(prod)
-        scaled = n * sigma / (scale[:, :, None] * scale[:, None, :])
-        stat = _quadratic_form(vec, scaled)
-    elif flavor == FLAVOR_III:
-        weights = np.array([n1 - 1, n1, n2, n2 - 1], dtype=float) / (n - 1)
-        stat = _quadratic_form(cells - weights * cols, sigma)
+    elif flavor in (FLAVOR_I, FLAVOR_II, FLAVOR_III):
+        # vec' m^+ vec on the range of m, the covariance of vec: sigma for
+        # III, and for I and II sigma scaled by diag(sqrt(n / (n_i o_j))),
+        # with o = (C1, C2) for I, (n1, n2) for II and (1, 1) for III.  The
+        # fixed row sums put the range on w1 = (o2, -o1, 0, 0) and
+        # w2 = (0, 0, o2, -o1) before the scaling.  Up to factors that
+        # cancel, the form is y' G^+ y / scale with
+        # G_ij = w_i' sigma w_j / sqrt(r_i r_j), y_i = p_i / sqrt(r_i) and
+        # r = (n1, n2) for I and II, (1, 1) for III; the projections'
+        # numerators p are integers, so a vec in the null space scores 0.
+        n11, n12, n21, n22 = counts.reshape(b, 4).T
+        if flavor == FLAVOR_III:
+            # T_ij = N_ij - w_ij C_j against sigma itself
+            o1 = o2 = r1 = r2 = 1
+            p1 = (n11 - n12) * (n - 1) - (n1 - 1) * c1 + n1 * c2
+            p2 = (n21 - n22) * (n - 1) - n2 * c1 + (n2 - 1) * c2
+            scale = (n - 1) ** 2
+        else:
+            o1, o2 = (c1, c2) if flavor == FLAVOR_I else (n1, n2)
+            bad = np.full(b, n1 == 0 or n2 == 0)
+            if flavor == FLAVOR_I:
+                bad |= (c1 == 0) | (c2 == 0)
+            r1, r2 = max(n1, 1), max(n2, 1)
+            p1 = o2 * n11 - o1 * n12
+            p2 = o2 * n21 - o1 * n22
+            scale = 1
+        oo, o11, o22 = o1 * o2, o1 * o1, o2 * o2
+        s = sigma
+        g11 = o22 * s[:, 0, 0] - 2 * oo * s[:, 0, 1] + o11 * s[:, 1, 1]
+        g12 = o22 * s[:, 0, 2] - oo * (s[:, 0, 3] + s[:, 1, 2]) + o11 * s[:, 1, 3]
+        g22 = o22 * s[:, 2, 2] - 2 * oo * s[:, 2, 3] + o11 * s[:, 3, 3]
+        stat = _range_form(g11 / r1, g12 / np.sqrt(r1 * r2), g22 / r2,
+                           p1 / np.sqrt(r1), p2 / np.sqrt(r2)) / scale
     elif flavor in CELL_FLAVORS:
         pos = CELL_FLAVORS.index(flavor)
         expected = expected_counts(n1, n2, n).ravel()[pos]
@@ -194,7 +232,8 @@ def version_III(nnct: ContingencyTable, cov_model: CovarianceModel) -> TestResul
     The deviation vector subtracts column-sum based expectations,
     T_ij = N_ij - w_ij C_j with w_ii = (n_i - 1)/(n - 1) and
     w_ij = n_i/(n - 1), which is exactly mean-zero under random labeling.
-    It is paired with the generalized inverse of the cell-count covariance.
+    It is paired with the generalized inverse of the cell-count covariance,
+    evaluated in closed form on that covariance's 2-D range.
     """
     return _overall(FLAVOR_III, nnct, cov_model)
 

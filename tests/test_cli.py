@@ -7,6 +7,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nnct import (
@@ -180,6 +181,15 @@ class TestAnalyze:
         )
         assert main(["analyze", tiny]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [100, 300], ids=["brute", "kdtree"])
+    def test_overflowing_squared_distances_are_invalid_input(self, tmp_path, capsys, n):
+        rng = np.random.default_rng(n)
+        rows = "".join(f"{x!r},{y!r},{'ab'[k % 2]}\n"
+                       for k, (x, y) in enumerate((rng.random((n, 2)) * 1e160).tolist()))
+        assert main(["analyze", write(tmp_path, "x,y,label\n" + rows)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid input: coordinates spread too far")
 
     def test_duplicate_points_flagged(self, tmp_path, capsys):
         path = write(

@@ -77,6 +77,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (np.inf, 1)])
 
+    def test_squared_distances_that_overflow(self):
+        edge = 9e153  # 2 * edge^2 is finite, 2 * (2 * edge)^2 is not
+        pts([(0.0, 0.0), (edge, edge)])
+        with pytest.raises(InvalidInputError, match="spread too far"):
+            pts([(-edge, -edge), (edge, edge)])
+        with pytest.raises(InvalidInputError, match="spread too far"):
+            pts([(-1e308, 0.0), (1e308, 0.0)])  # the span itself overflows
+
     def test_bad_labels(self):
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (1, 1)], labels=[1, 3])
@@ -212,6 +220,13 @@ class TestTieRepair:
         base = np.array([[0, 0], [0, 0], [1, 0], [0, 1], [2, 2], [1, 0], [5, 5]])
         coords = base * 1e-200
         assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_tiny_coordinates_search_alike(self, n):
+        # squared distances near 1e-320 are subnormal, and many underflow to 0
+        coords = np.random.default_rng(5).random((n, 2)) * 1e-160
+        p = pts(coords)
+        assert np.array_equal(_nn_kdtree(p.points), _nn_brute(p.points))
 
     def test_ring_of_tied_sites_beyond_first_round(self):
         # the 12 lattice points at distance 5 from the centre tie for its NN,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnct import (
     CSR_Q_PER_POINT,
@@ -21,6 +23,7 @@ from nnct import (
     covariance_model,
     dixon_overall,
     expected_counts,
+    generalized_inverse,
     permutation_pvalue,
     run_battery,
     run_battery_from_table,
@@ -34,6 +37,7 @@ from nnct.segregation import (
     _PERM_STREAM_TAG,
     CELL_FLAVORS,
     OVERALL_FLAVORS,
+    _range_form,
     _statistic_only,
 )
 
@@ -276,6 +280,94 @@ class TestKernel:
         mixed = np.array([[[6, 4], [3, 7]], [[5, 6], [4, 5]]])  # row sums differ
         with pytest.raises(InvalidInputError):
             _statistic_only("dixon_overall", mixed, sigmas[0])
+
+
+def spectral_form(flavor, counts, sigma):
+    """vec' m^+ vec of versions I-III through the spectral pseudo-inverse of
+    the whole 4x4 matrix m: the definition the closed form replaces."""
+    (n1, n2), (c1, c2) = counts.sum(axis=1), counts.sum(axis=0)
+    n = n1 + n2
+    cells = counts.ravel().astype(float)
+    if flavor == "version_III":
+        weights = np.array([n1 - 1, n1, n2, n2 - 1]) / (n - 1)
+        vec, m = cells - weights * np.array([c1, c2, c1, c2]), sigma
+    else:
+        other = [c1, c2, c1, c2] if flavor == "version_I" else [n1, n2, n1, n2]
+        prod = np.array([n1, n1, n2, n2]) * np.array(other, dtype=float)
+        vec = (cells - prod / n) / np.sqrt(prod / n)
+        m = n * sigma / np.sqrt(np.outer(prod, prod))
+    return max(float(vec @ generalized_inverse(m) @ vec), 0.0)
+
+
+class TestClosedForm:
+    """Versions I-III evaluate vec' m^+ vec in closed form on the 2-D range
+    that the fixed row sums leave to the 4x4 covariance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(8, 200), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_matches_the_spectral_pseudo_inverse(self, n, share, seed):
+        rng = np.random.default_rng(seed)
+        n1 = min(max(int(share * n), 1), n - 1)
+        pts = LabeledPointSet(rng.random((n, 2)), np.repeat([1, 2], [n1, n - n1]))
+        nns = compute_nn(pts)
+        counts = build_nnct(pts, nns).counts
+        for q, r in ((nns.Q, nns.R), (n * CSR_Q_PER_POINT, n * CSR_R_PER_POINT)):
+            sigma = cell_covariance(n1, n - n1, n, q, r)
+            for flavor in ("version_I", "version_II", "version_III"):
+                stat = _statistic_only(flavor, counts[None], sigma)[0]
+                if flavor == "version_I" and (counts.sum(axis=0) == 0).any():
+                    assert np.isnan(stat)
+                    continue
+                # the absolute floor covers the oracle's own rounding of vec
+                # (~1e-16 per entry) on statistics near 0
+                assert stat == pytest.approx(spectral_form(flavor, counts, sigma),
+                                             rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("qr", [(10, 8), (16 * CSR_Q_PER_POINT, 16 * CSR_R_PER_POINT)],
+                             ids=["observed", "asymptotic"])
+    def test_residuals_in_the_null_space_give_exact_zero(self, qr):
+        # [[1, 3], [3, 9]] has N_ij = n_i C_j / n = n_i n_j / n in every cell
+        results = run_battery_from_table(ContingencyTable.from_counts([[1, 3], [3, 9]]), *qr)
+        assert results[1].statistic == 0.0 and results[2].statistic == 0.0
+        assert results[1].p_value == 1.0 and results[2].p_value == 1.0
+
+    @staticmethod
+    def on_range(g11, g12, g22):
+        """A 4x4 covariance whose range is spanned by (1, -1, 0, 0) and
+        (0, 0, 1, -1), with the 2x2 form G on that basis."""
+        w = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        return w.T @ np.array([[g11, g12], [g12, g22]]) @ w
+
+    @pytest.mark.parametrize("g", [(4.0, 2.0, 1.0), (2.0, 0.0, 0.0), (1.0, 0.0, 4e-9)],
+                             ids=["singular", "one-zero-axis", "below-cutoff"])
+    def test_rank_one_range_keeps_the_top_eigenvector(self, g):
+        sigma = self.on_range(*g)
+        counts = np.array([[6, 4], [3, 7]])
+        stat = _statistic_only("version_III", counts[None], sigma)[0]
+        assert stat > 0.0
+        assert stat == pytest.approx(spectral_form("version_III", counts, sigma), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [4e-9, 2e-8])
+    def test_cutoff_is_that_of_the_generalized_inverse(self, eps):
+        for m in (np.diag([1.0, eps]), np.array([[0.5 + eps, 0.5], [0.5, 0.5 + eps]])):
+            y = np.array([0.3, -1.7])
+            got = _range_form(*(np.array([x]) for x in (m[0, 0], m[0, 1], m[1, 1], *y)))
+            assert got[0] == pytest.approx(y @ generalized_inverse(m) @ y, rel=1e-6)
+
+    @pytest.mark.parametrize("g", [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-1.0, 0.0, -2.0)],
+                             ids=["zero", "zero-top", "negative"])
+    def test_no_positive_eigenvalue_gives_zero(self, g):
+        stat = _statistic_only("version_III", np.array([[[6, 4], [3, 7]]]), self.on_range(*g))
+        assert stat.tobytes() == np.zeros(1).tobytes()
+
+    def test_nan_propagates(self):
+        ones = np.ones(3)
+        for args in ((np.nan, 0.0, 1.0, 1.0, 1.0), (1.0, np.nan, 1.0, 1.0, 1.0),
+                     (1.0, 0.0, 1.0, np.nan, 0.0)):
+            assert np.isnan(_range_form(*(a * ones for a in args))).all()
+        sigma = np.full((4, 4), np.nan)
+        for flavor in ("version_I", "version_II", "version_III"):
+            assert np.isnan(_statistic_only(flavor, np.array([[[6, 4], [3, 7]]]), sigma)).all()
 
 
 def perm_stream(seed, labels, n_perm):
