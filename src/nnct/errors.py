@@ -1,4 +1,6 @@
-"""Exception types, and the seed rule, shared across the package."""
+"""Exception types, and the seed and count rules, shared across the package."""
+
+import operator
 
 
 class NnctError(Exception):
@@ -15,11 +17,28 @@ class InvalidArgumentError(InvalidInputError):
     caller's fault, which the CLI reports as a usage error."""
 
 
-def check_seed(seed: int) -> None:
+def check_seed(seed) -> int:
     """The seed rule of every study, Q/R estimate and permutation p-value:
-    a nonnegative integer."""
+    a nonnegative integer (Python or numpy), returned as an int."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        seed = -1  # not an integer: refused like a negative seed
     if seed < 0:
         raise InvalidArgumentError("seed must be a nonnegative integer")
+    return seed
+
+
+def check_count(value, what: str, minimum: int) -> int:
+    """A count parameter: an integer (Python or numpy) >= ``minimum``,
+    returned as an int."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise InvalidArgumentError(f"{what} must be >= {minimum}, got {count}")
+    return count
 
 
 class ParseError(NnctError):

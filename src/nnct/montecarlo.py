@@ -16,7 +16,7 @@ from functools import cache, partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import InvalidArgumentError, InvalidInputError, check_seed
+from .errors import InvalidArgumentError, InvalidInputError, check_count, check_seed
 from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
@@ -136,16 +136,12 @@ class SimulationConfig:
     qr_estimate_nmc: int = 10000
 
     def __post_init__(self):
-        if self.n_mc < 1:
-            raise InvalidArgumentError(f"n_mc must be >= 1, got {self.n_mc}")
+        check_count(self.n_mc, "n_mc", 1)
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidArgumentError(f"alpha must be in [0, 1), got {self.alpha}")
         check_seed(self.seed)
-        if self.parallelism < 1:
-            raise InvalidArgumentError("parallelism must be >= 1")
-        if self.qr_estimate_nmc < 1:
-            raise InvalidArgumentError(
-                f"qr_estimate_nmc must be >= 1, got {self.qr_estimate_nmc}")
+        check_count(self.parallelism, "parallelism", 1)
+        check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1)
         if self.adjusted_source not in ("estimate", "asymptotic"):
             raise InvalidArgumentError(f"unknown adjusted_source {self.adjusted_source!r}")
 
@@ -340,10 +336,10 @@ def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
     non-finite coordinate raises ``InvalidInputError``.  Yields
     ``(rows, nn, q, r)`` per sub-block: its slice ``rows`` of [lo, hi), its
     ``(sets, n)`` NN indices and their Q and R.  (A permutation p-value
-    keeps ``default_rng``: its 16 generators at 999 permutations take ~200 us
-    against ~130 us from seed words, about 0.4% of the benchmark's
-    permutation workload, and its 2 at the 99-permutation minimum ~24 us
-    against ~110 us.)
+    keeps ``default_rng``: its 16 generators at 999 permutations take ~190 us
+    against ~130 us from seed words, about 0.5% of the benchmark's
+    permutation workload, and its 2 at the 99-permutation minimum ~26 us
+    against ~160 us.)
     """
     from numpy.random import PCG64, Generator
 
@@ -401,13 +397,10 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
     """Monte Carlo estimate of E[Q/n] and E[R/n] under CSR on the unit
     square, with standard errors.  Bit-reproducible for a fixed seed at any
     worker count."""
-    if n < 2:
-        raise InvalidArgumentError(f"need n >= 2, got {n}")
-    if n_mc < 1:
-        raise InvalidArgumentError(f"n_mc must be >= 1, got {n_mc}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    check_seed(seed)
+    n = check_count(n, "n", 2)
+    n_mc = check_count(n_mc, "n_mc", 1)
+    workers = check_count(workers, "workers", 1)
+    seed = check_seed(seed)
     parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
     qs = np.concatenate([p[0] for p in parts])
     rs = np.concatenate([p[1] for p in parts])

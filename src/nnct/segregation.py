@@ -43,7 +43,8 @@ from .contingency import (
     expected_counts,
     tabulate_pairs,
 )
-from .errors import DegenerateTestError, InvalidArgumentError, InvalidInputError, check_seed
+from .errors import (DegenerateTestError, InvalidArgumentError, InvalidInputError,
+                     check_count, check_seed)
 from .geometry import LabeledPointSet, compute_nn
 from .numerics import DEFAULT_REL_CUTOFF, chi2_sf, normal_sf
 
@@ -281,9 +282,14 @@ _PERM_STREAM_TAG = 4
 # permutations per random stream: permutations 64b .. 64b + 63 draw from
 # one generator keyed by (seed, _PERM_STREAM_TAG, b)
 _PERM_BLOCK = 64
-# labelings drawn and tabulated at once: the (rows x points) boolean
-# temporaries stay near 256 kB at any n; no p-value depends on it
+# permuted labelings scored at once: about _PERM_BLOCK_ENTRIES // n tables
+# per call of the statistic kernel; no p-value depends on it
 _PERM_BLOCK_ENTRIES = 1 << 18
+# labels drawn and tabulated at once: the (rows x points) float64
+# temporaries stay near 64 kB up to n = 8192, one row above it (256 kB
+# sub-blocks drew faster but raised the peak RSS by ~0.4 MB); no p-value
+# depends on it
+_PERM_DRAW_ENTRIES = 1 << 13
 # a permuted statistic within this relative distance below the observed one
 # counts as a tie: equal statistics of different tables can round ulps apart
 _TIE_RTOL = 1e-9
@@ -308,14 +314,15 @@ def permutation_pvalue(
     An undefined observed statistic raises ``DegenerateTestError``.
 
     Reproducible: permutations 64b .. 64b + 63 are the successive
-    ``permutation`` draws of ``default_rng([seed, 4, b])``, taken with
-    ``Generator.permuted(axis=1)`` in sub-blocks of at most
-    ``_PERM_BLOCK_ENTRIES // n`` rows, so above n = 4096 a block is drawn
-    in pieces from the same generator and the p-value does not change.
+    ``permutation`` draws of ``default_rng([seed, 4, b])``.  They are taken
+    with ``Generator.permuted(axis=1)`` on float64 class-1 indicators, in
+    sub-blocks of ``max(1, _PERM_DRAW_ENTRIES // n)`` rows from the same
+    generator.  numpy shuffles 8-byte items on its fastest path and draws
+    the same permutations at every item size, so neither the item type nor
+    the sub-block changes a p-value.
     """
-    if n_perm < 99:
-        raise InvalidArgumentError(f"need at least 99 permutations, got {n_perm}")
-    check_seed(seed)
+    n_perm = check_count(n_perm, "n_perm", 99)
+    seed = check_seed(seed)
     n1, n2 = pts.class_sizes
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
@@ -329,19 +336,20 @@ def permutation_pvalue(
     if np.isnan(observed):
         raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
-    class1 = pts.labels == 1
-    rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
+    class1 = (pts.labels == 1).astype(float)
+    draw_rows = max(1, _PERM_DRAW_ENTRIES // pts.n)
+    score_rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
     at_least = scored = 0
     tables = []
     for start in range(0, n_perm, _PERM_BLOCK):
         rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // _PERM_BLOCK])
         stop = min(start + _PERM_BLOCK, n_perm)
-        for lo in range(start, stop, rows):
-            labels = rng.permuted(np.broadcast_to(class1, (min(rows, stop - lo), pts.n)),
-                                  axis=1)
+        for lo in range(start, stop, draw_rows):
+            labels = rng.permuted(
+                np.broadcast_to(class1, (min(draw_rows, stop - lo), pts.n)), axis=1)
             tables.append(tabulate_pairs(labels, nns.nn_index))
-        # score about `rows` tables at a time; NaN compares False
-        if stop - scored >= rows or stop == n_perm:
+        # score about `score_rows` tables at a time; NaN compares False
+        if stop - scored >= score_rows or stop == n_perm:
             stats = extremeness(np.concatenate(tables))
             at_least += int(np.count_nonzero(stats >= threshold))
             tables, scored = [], stop

@@ -44,6 +44,23 @@ class TestContingencyTable:
         with pytest.raises(InvalidInputError):
             build_nnct(p, nns)
 
+    # labels as classes 1/2, as booleans and as float indicators
+    @pytest.mark.parametrize("dtype", [np.int64, bool, np.float64])
+    def test_stack_of_labelings_counts_every_pair(self, dtype):
+        rng = np.random.default_rng(13)
+        n = 50
+        nn = rng.integers(0, 10, n)  # any digraph: hubs, self-arcs, unreached points
+        classes = rng.integers(1, 3, (4, 6, n))
+        stack = np.where(classes == 1, 1, 2 if dtype is np.int64 else 0).astype(dtype)
+        tables = tabulate_pairs(stack, nn)
+        assert tables.dtype == np.int64 and tables.shape == (4, 6, 2, 2)
+        for idx in np.ndindex(4, 6):
+            expected = np.zeros((2, 2), dtype=np.int64)
+            for base, target in enumerate(nn):
+                expected[classes[idx][base] - 1, classes[idx][target] - 1] += 1
+            assert tables[idx].tolist() == expected.tolist()
+            assert tabulate_pairs(stack[idx], nn).tolist() == expected.tolist()
+
     def test_row_sums_match_class_sizes(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

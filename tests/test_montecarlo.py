@@ -137,6 +137,25 @@ class TestEstimateQR:
         with pytest.raises(InvalidInputError, match="seed must be a nonnegative"):
             adjusted_qr(10, "estimate", 5, seed=-1)
 
+    # a float or string seed used to run as another seed, or fail in numpy
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    def test_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+            estimate_qr(20, 50, seed)
+
+    @pytest.mark.parametrize("kw", [dict(n=20.0), dict(n_mc=50.5), dict(workers=1.0)],
+                             ids=["n", "n_mc", "workers"])
+    def test_count_that_is_not_an_integer(self, kw):
+        args = dict(n=20, n_mc=50, seed=1, workers=1)
+        args.update(kw)
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            estimate_qr(**args)
+
+    def test_numpy_integers_pass(self):
+        expected = estimate_qr(20, 50, 3)
+        assert estimate_qr(np.int64(20), np.int64(50), np.int64(3)) == expected
+        assert estimate_qr(20, 50, np.uint32(3), workers=np.int32(1)) == expected
+
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one(self, workers):
         with pytest.raises(InvalidInputError, match="workers"):
@@ -199,6 +218,13 @@ class TestSimulationConfig:
             SimulationConfig(n_mc=10, seed=1, parallelism=0)
         with pytest.raises(InvalidInputError):
             SimulationConfig(n_mc=10, seed=1, adjusted_source="oracle")
+
+    @pytest.mark.parametrize("kw", [dict(n_mc=10.0), dict(seed=1.5), dict(parallelism=1.0),
+                                    dict(qr_estimate_nmc="10")],
+                             ids=["n_mc", "seed", "parallelism", "qr_estimate_nmc"])
+    def test_values_that_are_not_integers(self, kw):
+        with pytest.raises(InvalidArgumentError):
+            SimulationConfig(**{"n_mc": 10, "seed": 1, **kw})
 
     @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
     def test_qr_estimate_nmc_below_one(self, source):

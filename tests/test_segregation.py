@@ -380,6 +380,28 @@ def perm_stream(seed, labels, n_perm):
             yield rng.permutation(labels)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64, 1000, 5000])
+@pytest.mark.parametrize("seed", [1, 17, 2**32 + 5, 2**40 + 3])
+def test_permuted_draws_the_same_permutations_at_every_item_size(n, seed):
+    """``permutation_pvalue`` shuffles float64 indicators where the stream
+    is defined on labels: numpy's ``permuted`` must give the permutations of
+    successive ``permutation`` calls for bool, int64 and float64 items, in
+    one 64-row block or in sub-blocks from the same generator."""
+    key = [seed, _PERM_STREAM_TAG, 3]
+    rng = np.random.default_rng(key)
+    order = np.array([rng.permutation(n) for _ in range(64)])
+    class1 = np.arange(n) % 3 == 0
+    for dtype in (bool, np.int64, np.float64):
+        items = class1.astype(dtype) if dtype is bool else np.arange(n, dtype=dtype)
+        expected = class1[order] if dtype is bool else order.astype(dtype)
+        for split in ([64], [1, 7, 20, 36]):
+            rng = np.random.default_rng(key)
+            got = np.concatenate([rng.permuted(np.broadcast_to(items, (rows, n)), axis=1)
+                                  for rows in split])
+            assert got.dtype == dtype
+            assert np.array_equal(got, expected), (dtype, split)
+
+
 def hub_and_circle():
     """A hub at the origin plus 5 points on the unit circle: every circle
     point's NN is the hub, so many labelings have a zero column sum."""
@@ -417,6 +439,23 @@ class TestPermutation:
             permutation_pvalue(p, "no_such_test", n_perm=99, seed=1)
         with pytest.raises(InvalidArgumentError):
             permutation_pvalue(p, "dixon_overall", n_perm=999, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    def test_seed_that_is_not_an_integer(self, seed):
+        p = random_point_set(np.random.default_rng(59), 20, n1=10)
+        with pytest.raises(InvalidArgumentError, match="seed must be a nonnegative integer"):
+            permutation_pvalue(p, "dixon_overall", n_perm=99, seed=seed)
+
+    @pytest.mark.parametrize("n_perm", [999.0, 99.5, "999"])
+    def test_count_that_is_not_an_integer(self, n_perm):
+        p = random_point_set(np.random.default_rng(59), 20, n1=10)
+        with pytest.raises(InvalidArgumentError, match="n_perm must be an integer"):
+            permutation_pvalue(p, "dixon_overall", n_perm=n_perm, seed=1)
+
+    def test_numpy_integers_pass(self):
+        p = random_point_set(np.random.default_rng(59), 20, n1=10)
+        expected = permutation_pvalue(p, "dixon_overall", 199, 3)
+        assert permutation_pvalue(p, "dixon_overall", np.int64(199), np.int64(3)) == expected
 
     @pytest.mark.parametrize("seed", [1, 14])
     def test_ties_with_the_observed_statistic_count(self, seed):
@@ -466,14 +505,30 @@ class TestPermutation:
         with pytest.raises(DegenerateTestError):
             permutation_pvalue(LabeledPointSet(pts.points, labels), "version_I", 99, 1)
 
-    # with n = 40: one row per sub-block, 7-row sub-blocks, the whole run at once
+    # with n = 40: one row per sub-block, 7-row sub-blocks, the whole run at
+    # once, for the tables scored at once and for the labels drawn at once
     @pytest.mark.parametrize("entries", [40, 7 * 40, 1 << 30])
     @pytest.mark.parametrize("flavor", ["dixon_overall", "version_I", "cell_Z_12"])
     def test_pvalue_does_not_depend_on_the_block_entries(self, monkeypatch, entries, flavor):
         pts = random_point_set(np.random.default_rng(61), 40, n1=16)
         expected = permutation_pvalue(pts, flavor, 999, 9)
         monkeypatch.setattr(segregation, "_PERM_BLOCK_ENTRIES", entries)
-        assert permutation_pvalue(pts, flavor, 999, 9) == expected
+        for draw in (40, 7 * 40, 1 << 30):
+            monkeypatch.setattr(segregation, "_PERM_DRAW_ENTRIES", draw)
+            assert permutation_pvalue(pts, flavor, 999, 9) == expected, draw
+
+    # the p-values of the two benchmark-sized CSR sets at seed 17 and 999
+    # permutations, as k of k / 1000, in the order OVERALL_FLAVORS + CELL_FLAVORS;
+    # a change to the permutation draw or the tabulation shows up here
+    @pytest.mark.parametrize("n, n1, golden", [
+        (100, 50, [450, 706, 488, 601, 884, 884, 314, 314]),
+        (1000, 400, [648, 688, 657, 662, 1000, 1000, 405, 405]),
+    ])
+    def test_golden_pvalues(self, n, n1, golden):
+        pts = LabeledPointSet(np.random.default_rng(17).random((n, 2)),
+                              np.repeat([1, 2], [n1, n - n1]))
+        got = [permutation_pvalue(pts, flavor, 999, 17) for flavor in OVERALL_FLAVORS + CELL_FLAVORS]
+        assert got == [k / 1000 for k in golden]
 
     @pytest.mark.slow
     def test_artificial_fixture_agrees_with_asymptotic(self, artificial_points):
