@@ -70,28 +70,15 @@ def tabulate_pairs(labels: np.ndarray, nn_index: np.ndarray) -> np.ndarray:
     stack of tables.
     """
     base1 = np.asarray(labels) == 1
-    nn_index = np.asarray(nn_index)
-    n = base1.shape[-1]
-    if base1.ndim > 1 and nn_index.ndim == 1:
-        # labelings of one digraph, counted in floats (every sum is an
-        # integer below 2^53, so exact): C1 is the class-1 points' in-degree
-        # total, so n1 and C1 come from one (rows x n) @ (n x 2) product
-        ind = base1.astype(float)
-        weights = np.ones((n, 2))
-        weights[:, 1] = np.bincount(nn_index, minlength=n)
-        margins = ind @ weights
-        n1, c1 = margins[..., 0], margins[..., 1]
-        n11 = np.einsum("...j,...j->...", ind, ind[..., nn_index])
-    else:
-        nn1 = base1[..., nn_index]
-        n1 = base1.sum(axis=-1)
-        n11 = (base1 & nn1).sum(axis=-1)
-        c1 = nn1.sum(axis=-1)
+    nn1 = base1[..., nn_index]
+    n1 = base1.sum(axis=-1)
+    n11 = (base1 & nn1).sum(axis=-1)
+    n21 = nn1.sum(axis=-1) - n11
     table = np.empty(n11.shape + (2, 2), dtype=np.int64)
     table[..., 0, 0] = n11
     table[..., 0, 1] = n1 - n11
-    table[..., 1, 0] = c1 - n11
-    table[..., 1, 1] = n - n1 - c1 + n11
+    table[..., 1, 0] = n21
+    table[..., 1, 1] = base1.shape[-1] - n1 - n21
     return table
 
 

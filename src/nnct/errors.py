@@ -17,28 +17,23 @@ class InvalidArgumentError(InvalidInputError):
     caller's fault, which the CLI reports as a usage error."""
 
 
-def check_seed(seed) -> int:
-    """The seed rule of every study, Q/R estimate and permutation p-value:
-    a nonnegative integer (Python or numpy), returned as an int."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        seed = -1  # not an integer: refused like a negative seed
-    if seed < 0:
-        raise InvalidArgumentError("seed must be a nonnegative integer")
-    return seed
-
-
-def check_count(value, what: str, minimum: int) -> int:
+def check_count(value, what: str, minimum: int, message: str | None = None) -> int:
     """A count parameter: an integer (Python or numpy) >= ``minimum``,
-    returned as an int."""
+    returned as an int.  ``message``, if given, replaces both refusals."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+        raise InvalidArgumentError(
+            message or f"{what} must be an integer, got {value!r}") from None
     if count < minimum:
-        raise InvalidArgumentError(f"{what} must be >= {minimum}, got {count}")
+        raise InvalidArgumentError(message or f"{what} must be >= {minimum}, got {count}")
     return count
+
+
+def check_seed(seed) -> int:
+    """The seed rule of every study, Q/R estimate and permutation p-value:
+    a nonnegative integer (Python or numpy), returned as an int."""
+    return check_count(seed, "seed", 0, "seed must be a nonnegative integer")
 
 
 class ParseError(NnctError):

@@ -282,13 +282,12 @@ _PERM_STREAM_TAG = 4
 # permutations per random stream: permutations 64b .. 64b + 63 draw from
 # one generator keyed by (seed, _PERM_STREAM_TAG, b)
 _PERM_BLOCK = 64
-# permuted labelings scored at once: about _PERM_BLOCK_ENTRIES // n tables
-# per call of the statistic kernel; no p-value depends on it
+# permuted labelings tabulated and scored at once: the (rows x points)
+# boolean labels stay near 256 kB at any n; no p-value depends on it
 _PERM_BLOCK_ENTRIES = 1 << 18
-# labels drawn and tabulated at once: the (rows x points) float64
-# temporaries stay near 64 kB up to n = 8192, one row above it (256 kB
-# sub-blocks drew faster but raised the peak RSS by ~0.4 MB); no p-value
-# depends on it
+# labels shuffled at once: each (rows x points) float64 draw stays near
+# 64 kB up to n = 8192 and is one row above it (256 kB draws ran faster but
+# raised the peak RSS by ~0.4 MB); no p-value depends on it
 _PERM_DRAW_ENTRIES = 1 << 13
 # a permuted statistic within this relative distance below the observed one
 # counts as a tie: equal statistics of different tables can round ulps apart
@@ -317,9 +316,10 @@ def permutation_pvalue(
     ``permutation`` draws of ``default_rng([seed, 4, b])``.  They are taken
     with ``Generator.permuted(axis=1)`` on float64 class-1 indicators, in
     sub-blocks of ``max(1, _PERM_DRAW_ENTRIES // n)`` rows from the same
-    generator.  numpy shuffles 8-byte items on its fastest path and draws
-    the same permutations at every item size, so neither the item type nor
-    the sub-block changes a p-value.
+    generator, and tabulated as booleans ``max(1, _PERM_BLOCK_ENTRIES // n)``
+    rows at a time.  numpy shuffles 8-byte items on its fastest path and
+    draws the same permutations at every item size, so neither the item
+    type nor the sub-blocks change a p-value.
     """
     n_perm = check_count(n_perm, "n_perm", 99)
     seed = check_seed(seed)
@@ -337,19 +337,22 @@ def permutation_pvalue(
         raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
     class1 = (pts.labels == 1).astype(float)
+    rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
     draw_rows = max(1, _PERM_DRAW_ENTRIES // pts.n)
-    score_rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
+    block = np.empty((min(rows, _PERM_BLOCK), pts.n), dtype=bool)
     at_least = scored = 0
     tables = []
     for start in range(0, n_perm, _PERM_BLOCK):
         rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // _PERM_BLOCK])
         stop = min(start + _PERM_BLOCK, n_perm)
-        for lo in range(start, stop, draw_rows):
-            labels = rng.permuted(
-                np.broadcast_to(class1, (min(draw_rows, stop - lo), pts.n)), axis=1)
+        for lo in range(start, stop, rows):
+            labels = block[:min(rows, stop - lo)]
+            for d in range(0, len(labels), draw_rows):
+                part = labels[d:d + draw_rows]
+                np.equal(rng.permuted(np.broadcast_to(class1, part.shape), axis=1), 1, out=part)
             tables.append(tabulate_pairs(labels, nns.nn_index))
-        # score about `score_rows` tables at a time; NaN compares False
-        if stop - scored >= score_rows or stop == n_perm:
+        # score about `rows` tables at a time; NaN compares False
+        if stop - scored >= rows or stop == n_perm:
             stats = extremeness(np.concatenate(tables))
             at_least += int(np.count_nonzero(stats >= threshold))
             tables, scored = [], stop
