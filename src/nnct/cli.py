@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .dataio import ingest
 from .errors import (DegenerateTestError, InvalidArgumentError, InvalidInputError,
-                     ParseError, check_seed)
+                     ParseError, check_count, check_seed)
 from .geometry import compute_nn
 from .montecarlo import (
     PAPER_COMBOS,
@@ -192,8 +192,7 @@ def _parse_combos(items) -> list[tuple[int, int]]:
 
 
 def _cmd_analyze(args) -> int:
-    if args.nmc < 1:
-        raise InvalidArgumentError(f"--nmc must be >= 1, got {args.nmc}")
+    check_count(args.nmc, "--nmc", 1)
     if args.qr_mode == "adjusted":
         check_seed(args.seed)  # the Q/R estimate's seed, before the file is read
     classes = tuple(s.strip() for s in args.classes.split(",")) if args.classes else None

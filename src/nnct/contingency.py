@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integral
 from .geometry import LabeledPointSet, NNStructure
 
 # Row-wise cell order used for every 4-vector and 4x4 matrix in the package.
@@ -35,7 +35,7 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = check_integral(self.counts, "cell counts")
         if c.shape != (2, 2):
             raise InvalidInputError(f"counts must be 2x2, got shape {c.shape}")
         if np.any(c < 0):

@@ -2,6 +2,8 @@
 
 import operator
 
+import numpy as np
+
 
 class NnctError(Exception):
     """Base class for all package-specific errors."""
@@ -28,6 +30,18 @@ def check_count(value, what: str, minimum: int, message: str | None = None) -> i
     if count < minimum:
         raise InvalidArgumentError(message or f"{what} must be >= {minimum}, got {count}")
     return count
+
+
+def check_integral(values, what: str) -> np.ndarray:
+    """Integer data (counts, labels) as int64: integers, or floats with
+    integral values, within the int64 range; anything else, NaN included,
+    is invalid input, never truncated."""
+    a = np.asarray(values)
+    kind = a.dtype.kind
+    if not (kind in "bi" or kind == "u" and np.all(a < 2**63)
+            or kind == "f" and np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**63))):
+        raise InvalidInputError(f"{what} must be integers within the int64 range")
+    return a.astype(np.int64, copy=False)
 
 
 def check_seed(seed) -> int:

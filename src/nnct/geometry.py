@@ -16,7 +16,8 @@ occur in gridded or duplicated field records).
 
 One dispatch, ``_nn_stack``, searches a single ``(n, 2)`` set or each set of
 an ``(..., n, 2)`` stack: by brute force up to ``_BRUTE_FORCE_MAX`` points,
-by a kd-tree or an exact site search above.  Both give identical indices.
+by the one kd-tree search ``_nearest_other_site`` above.  Both give
+identical indices.
 """
 
 from __future__ import annotations
@@ -26,28 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integral
 
-# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17),
-# per set, brute force in the stacks the Monte Carlo engine searches vs the
-# kd-tree, alternating: 87-89 vs 210-231 us at n = 128, 204-229 vs
-# 249-327 us at n = 192, 288-302 vs 324-335 us at n = 224, even at n = 256
-# and 493-553 vs 381-431 us at n = 288.  The cutover keeps a margin below
-# the break-even point, since brute force grows as n^2.
-_BRUTE_FORCE_MAX = 192
+# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17):
+# per set, brute force in 40-set stacks vs the kd-tree search, medians of
+# 21 rounds of alternating order in each of 3 processes: 138-178 vs
+# 170-234 us at n = 200, 179-240 vs 192-256 us at n = 224 (brute force
+# faster in 52 of 63 rounds), 215-273 vs 203-270 us at n = 240 (23 of 63)
+# and 247-321 vs 237-283 us at n = 256 (7 of 63).
+_BRUTE_FORCE_MAX = 224
 # (sets x n x n) squared distances per block of the brute-force search:
 # 2^14 (128 kB temporaries) beat 2^12, 2^13 and 2^15 at n = 10-128
 _BRUTE_BLOCK_ENTRIES = 1 << 14
 # first candidate count of the site search: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
 _SITE_K0 = 8
-# (sites x k) candidates per block: its dozen temporaries stay near 3 MB, far
-# below what ingesting and searching large inputs already holds
+# (sites x k) candidates per block, 10922 points at the first k = 3: its dozen
+# temporaries stay near 3 MB, below what large inputs already hold
 _SITE_BLOCK_ENTRIES = 1 << 15
-# points per k = 3 query of the trusted pass, taken in the tree's leaf order so
-# that consecutive queries walk the same leaves; the results held at once are
-# (block, 3) arrays instead of the whole set's (n, 3)
-_KD_BLOCK = 1 << 14
 _NO_SITE = np.iinfo(np.intp).max
 
 
@@ -70,7 +67,7 @@ class LabeledPointSet:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        labs = np.asarray(self.labels, dtype=np.int64)
+        labs = check_integral(self.labels, "labels")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidInputError(f"points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] < 2:
@@ -171,31 +168,44 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _nearest_other_site(site_xy: np.ndarray,
-                        lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each site: the squared distance to the nearest other site, and the
-    lowest member index over the other sites at that distance (``inf`` and
-    ``_NO_SITE`` when there is no other site).
+def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
+                        lowest: np.ndarray | None = None) -> np.ndarray:
+    """Fill ``winner`` with the lowest index over the other sites nearest to
+    each site (``_NO_SITE`` if none), and return whether that nearest other
+    site lies at squared distance 0.  ``lowest`` maps a site to the index it
+    stands for, its lowest member; None when the sites are the points.
 
-    A kd-tree over the sites supplies candidates.  ``k`` grows only on sites
-    whose k-th candidate is not yet strictly farther than their minimum, so
-    no tied site can have been cut off.  Distances are recomputed as
-    ``dx*dx + dy*dy``, with the rounding of ``_nn_brute``.
+    An unbalanced kd-tree (cheaper to build, slightly slower to query) is
+    queried for ``k`` candidates per site, in its leaf order.  A site whose
+    first other candidate is strictly nearer than the next takes it as the
+    query found it.  The others recompute ``dx*dx + dy*dy``, as
+    ``_nn_brute`` does, and ``k`` grows on those whose k-th candidate is not
+    yet strictly farther than their minimum, so no tied site is cut off.
     """
     from scipy.spatial import cKDTree
 
     ns = site_xy.shape[0]
-    d2min = np.full(ns, np.inf)
-    winner = np.full(ns, _NO_SITE, dtype=np.intp)
+    zero = np.zeros(ns, dtype=bool)
     tree = cKDTree(site_xy, balanced_tree=False)
-    todo = tree.indices  # leaf order: consecutive queries visit nearby sites
-    k = min(ns, _SITE_K0)
+    todo = tree.indices
+    k = min(ns, k)
     while todo.size:
         block = max(1, _SITE_BLOCK_ENTRIES // k)
         unresolved = []
         for start in range(0, todo.size, block):
             q = todo[start:start + block]
-            cand = tree.query(site_xy[q], k=k)[1].reshape(q.size, k)
+            dist, cand = tree.query(site_xy[q], k=k)
+            cand = cand.reshape(q.size, k)
+            ids = cand if lowest is None else lowest[cand]
+            if k > 2:
+                # the site itself comes first, alone at distance 0
+                gap = (dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])
+                if gap.all():
+                    winner[q] = ids[:, 1]
+                    continue
+                if gap.any():  # a grid's sites have none
+                    winner[q[gap]] = ids[gap, 1]
+                    q, cand, ids = q[~gap], cand[~gap], ids[~gap]
             dx = site_xy[cand, 0] - site_xy[q, 0][:, None]
             dy = site_xy[cand, 1] - site_xy[q, 1][:, None]
             d2 = dx * dx + dy * dy
@@ -204,18 +214,18 @@ def _nearest_other_site(site_xy: np.ndarray,
             d2[~other] = np.inf
             m = d2.min(axis=1)
             done = (kth > m) | (k == ns)
-            best = np.where(other & (d2 == m[:, None]), lowest[cand], _NO_SITE)
-            d2min[q[done]] = m[done]
+            best = np.where(other & (d2 == m[:, None]), ids, _NO_SITE)
+            zero[q[done]] = m[done] == 0
             winner[q[done]] = best[done].min(axis=1)
             unresolved.append(q[~done])
-        todo = np.concatenate(unresolved)
+        todo = np.concatenate(unresolved) if unresolved else todo[:0]
         k = min(ns, 4 * k)
-    return d2min, winner
+    return zero
 
 
-def _nn_sites(coords: np.ndarray) -> np.ndarray:
-    """Exact lowest-index NN of every point of one ``(n, 2)`` set, by the
-    rules of ``_nn_brute``, searched over its sites rather than its points.
+def _nn_sites(coords: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the lowest-index NN of every point of one
+    ``(n, 2)`` set, by the rules of ``_nn_brute``, searched over its sites.
 
     Members of a site sit at squared distance 0 from each other, so a
     point whose site has several members takes the lowest-index other
@@ -227,51 +237,35 @@ def _nn_sites(coords: np.ndarray) -> np.ndarray:
     order, starts = _point_sites(coords)
     first = np.flatnonzero(starts)  # sorted position of each site's first member
     lowest = order[first]
-    d2min, winner = _nearest_other_site(coords[lowest], lowest)
+    winner = np.empty(first.size, dtype=np.intp)
+    zero = _nearest_other_site(coords[lowest], _SITE_K0, winner, lowest)
     # everything below runs over the points in sorted order
     site = np.cumsum(starts) - 1
     shared = np.diff(first, append=n)[site] > 1
-    m, w = d2min[site], winner[site]
+    z, w = zero[site], winner[site]
     # a site's first member takes the next one; every later member the first
     own = np.where(starts, np.roll(order, -1), lowest[site])
-    nn = np.empty(n, dtype=np.intp)
-    nn[order] = np.where(shared & ((m > 0) | (own < w)), own, w)
-    return nn
+    out[order] = np.where(shared & (~z | (own < w)), own, w)
 
 
 def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     """kd-tree nearest neighbor indices of one ``(n, 2)`` set or of each set
-    of an ``(..., n, 2)`` stack, by the lowest-index rule of ``_nn_brute``.
-
-    A set of n > 2 points with distinct x-coordinates holds no duplicate, so
-    k = 3 queries answer it when every point's second distance is positive
-    (the first is the point itself) and below its third (no tie).  The tree
-    is built unbalanced, which saves more in the build than it costs in the
-    queries, and the points are queried in its leaf order, ``_KD_BLOCK`` at
-    a time.  Any other set (a repeated x, n <= 2, a tie in any block, a
-    distance underflowing to 0) goes as a whole to the exact search
-    ``_nn_sites``, which overwrites every row already answered.
-
-    scipy is imported here, on the kd-tree path only, so that importing the
-    package and searching small sets by brute force never load it.
+    of an ``(..., n, 2)`` stack, by the lowest-index rule of ``_nn_brute``,
+    from the one search ``_nearest_other_site``.  Points with distinct
+    x-coordinates cannot coincide, so each is its own site, with k = 3
+    candidates at first: itself, its NN and one that must lie farther.  Any
+    other set is searched over its sites by ``_nn_sites``.  scipy is
+    imported by the search only, so that importing the package and brute
+    force searches never load it.
     """
-    from scipy.spatial import cKDTree
-
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
     nn = np.empty(flat.shape[:2], dtype=np.intp)
     for c, out in zip(flat, nn):
-        if n > 2 and _distinct_x(c):
-            tree = cKDTree(c, balanced_tree=False)
-            for start in range(0, n, _KD_BLOCK):
-                rows = tree.indices[start:start + _KD_BLOCK]
-                dist, idx = tree.query(c[rows], k=3)
-                if not ((dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])).all():
-                    break
-                out[rows] = idx[:, 1]
-            else:
-                continue
-        out[:] = _nn_sites(c)
+        if _distinct_x(c):
+            _nearest_other_site(c, 3, out)
+        else:
+            _nn_sites(c, out)
     return nn.reshape(coords.shape[:-1])
 
 

@@ -68,15 +68,15 @@ class PatternSpec:
     """
 
     kind: str
-    n1: int = 0
-    n2: int = 0
+    n1: int
+    n2: int
     param: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("csr", "segregation", "association"):
             raise InvalidArgumentError(f"unknown pattern kind {self.kind!r}")
-        if self.n1 < 1 or self.n2 < 1:
-            raise InvalidArgumentError("class sizes must be >= 1")
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, check_count(getattr(self, name), "class sizes", 1))
         if self.kind == "segregation" and not (0.0 <= self.param < 1.0):
             raise InvalidArgumentError(
                 f"segregation offset must be in [0, 1), got {self.param}")
@@ -131,7 +131,7 @@ class SimulationConfig:
     n_mc: int
     seed: int
     alpha: float = 0.05
-    parallelism: int = 1
+    parallelism: int = 1  # worker processes, the CLI's --workers
     adjusted_source: str = "estimate"
     qr_estimate_nmc: int = 10000
 
@@ -140,7 +140,7 @@ class SimulationConfig:
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidArgumentError(f"alpha must be in [0, 1), got {self.alpha}")
         check_seed(self.seed)
-        check_count(self.parallelism, "parallelism", 1)
+        check_count(self.parallelism, "workers", 1)
         check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1)
         if self.adjusted_source not in ("estimate", "asymptotic"):
             raise InvalidArgumentError(f"unknown adjusted_source {self.adjusted_source!r}")
@@ -223,8 +223,7 @@ def size_band(alpha: float, n_mc: int) -> tuple[float, float]:
     one-sided normal proportion test in each direction."""
     if not (0.0 <= alpha < 1.0):
         raise InvalidArgumentError(f"alpha must be in [0, 1), got {alpha}")
-    if n_mc < 1:
-        raise InvalidArgumentError(f"n_mc must be >= 1, got {n_mc}")
+    n_mc = check_count(n_mc, "n_mc", 1)
     z95 = 1.6448536269514722  # the standard normal 0.95 quantile
     half = z95 * np.sqrt(alpha * (1.0 - alpha) / n_mc)
     return alpha - half, alpha + half

@@ -62,15 +62,7 @@ class AnalysisReport:
             "qr_mode": self.qr_mode,
             "q_used": self.q_used,
             "r_used": self.r_used,
-            "tests": [
-                {
-                    "flavor": t.flavor,
-                    "statistic": t.statistic,
-                    "df": t.df,
-                    "p_value": t.p_value,
-                }
-                for t in self.tests
-            ],
+            "tests": [vars(t) for t in self.tests],  # flavor, statistic, df, p_value
         }
 
     def to_json(self) -> str:

@@ -311,11 +311,16 @@ class TestEstimateQrCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
-    def test_workers_below_one(self, capsys, workers):
-        assert main(["estimate-qr", "--n", "10", "--nmc", "20", "--workers", workers]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("usage error: workers must be >= 1")
+    def test_workers_below_one(self, capsys, workers, tmp_path):
+        # the message names the flag the user typed, in every command
+        for argv in (["estimate-qr", "--n", "10", "--nmc", "20"],
+                     ["simulate", "size", "--combos", "10,10", "--nmc", "20",
+                      "--qr-nmc", "20", "--out", str(tmp_path / "s")]):
+            assert main([*argv, "--workers", workers]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("usage error: workers must be >= 1")
+        assert not any(tmp_path.iterdir())
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         assert main(["estimate-qr", "--n", "10", "--nmc", "5", "--seed", "-1"]) == 2

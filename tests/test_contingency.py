@@ -74,6 +74,17 @@ class TestContingencyTable:
             ContingencyTable.from_counts([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(InvalidInputError):
             ContingencyTable.from_counts([[1, -2], [3, 4]])
+        # refused, never truncated or left to numpy's ValueError/OverflowError
+        for bad in (1.5, np.nan, np.inf, 2**63, 2.0**63, 2**64):
+            with pytest.raises(InvalidInputError, match="cell counts must be integers"):
+                ContingencyTable([[bad, 2], [3, 4]])
+
+    def test_integral_floats_are_counts(self):
+        table = ContingencyTable([[1.0, 2.0], [3.0, 4.0]])
+        assert table.counts.dtype == np.int64
+        assert table.counts.tolist() == [[1, 2], [3, 4]]
+        big = ContingencyTable([[2**63 - 1, 0], [0, 0]])
+        assert int(big.counts[0, 0]) == 2**63 - 1
 
 
 class TestExpectedCounts:

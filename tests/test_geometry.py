@@ -9,7 +9,7 @@ from nnct import InvalidInputError, LabeledPointSet, compute_nn, geometry
 from nnct.contingency import tabulate_pairs
 from nnct.geometry import (
     _BRUTE_FORCE_MAX,
-    _KD_BLOCK,
+    _SITE_BLOCK_ENTRIES,
     _nn_brute,
     _nn_kdtree,
     _point_sites,
@@ -90,6 +90,11 @@ class TestValidation:
             pts([(0, 0), (1, 1)], labels=[1, 3])
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (1, 1)], labels=[1])
+        # refused, never truncated to 1 or parsed from text
+        for labels in ([1.5, 2], [1, np.nan], ["1", "2"]):
+            with pytest.raises(InvalidInputError, match="labels must be integers"):
+                pts([(0, 0), (1, 1)], labels=labels)
+        assert pts([(0, 0), (1, 1)], labels=[1.0, 2.0]).labels.tolist() == [1, 2]
 
 
 def pair_list(p):
@@ -156,7 +161,11 @@ class TestRandomInvariants:
         underflow = np.column_stack([k * 1e-200, k // 2]).astype(float)
         signed_zero = rng.random((40, 2))
         signed_zero[[3, 17], 0] = 0.0, -0.0
-        for coords in (line, lattice[rng.permutation(256)], underflow, signed_zero):
+        # a centre with 5 neighbours tied at distance 5, every x distinct:
+        # more ties than the first round's k = 3 candidates hold
+        ring = np.array([(0, 0), (5, 0), (3, 4), (4, -3), (-3, -4), (-4, 3)]) + 100.0
+        ringed = np.vstack([rng.random((400, 2)), ring])[rng.permutation(406)]
+        for coords in (line, lattice[rng.permutation(256)], underflow, signed_zero, ringed):
             assert np.array_equal(_nn_brute(coords), _nn_kdtree(coords))
 
     def test_kdtree_tie_repair_on_grid(self):
@@ -340,11 +349,12 @@ def lowest_index_nn(coords: np.ndarray, rows: int = 128) -> np.ndarray:
 
 
 class TestKdBlocks:
-    """The trusted k = 3 pass answers a set ``_KD_BLOCK`` points at a time,
-    in the tree's leaf order; a defect in any block, not only the first,
-    sends the whole set to the exact search."""
+    """The kd-tree search's first round answers a set of points with
+    distinct x ``_SITE_BLOCK_ENTRIES // 3`` points at a time, in the tree's
+    leaf order; a defect in any block, not only the first, is searched
+    exactly."""
 
-    @pytest.mark.parametrize("n", [_KD_BLOCK, _KD_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_SITE_BLOCK_ENTRIES // 3, _SITE_BLOCK_ENTRIES // 3 + 1])
     def test_block_boundary_sizes(self, n):
         coords = np.random.default_rng(n).random((n, 2))
         assert np.array_equal(_nn_kdtree(coords), lowest_index_nn(coords))
@@ -352,20 +362,17 @@ class TestKdBlocks:
     @pytest.mark.parametrize("block", [32, 33])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_small_blocks_at_their_boundary(self, monkeypatch, block, extra):
-        monkeypatch.setattr(geometry, "_KD_BLOCK", block)
+        monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3 * block)
         for seed in range(5):
             coords = np.random.default_rng(seed).random((block + extra, 2))
             assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
 
-    @pytest.mark.parametrize("defect", ["duplicate", "tie", "underflow"])
-    def test_defect_planted_after_the_first_block(self, monkeypatch, defect):
-        from scipy.spatial import cKDTree
-
-        block = 32
-        monkeypatch.setattr(geometry, "_KD_BLOCK", block)
+    @staticmethod
+    def planted(defect):
+        """303 points with every x distinct but for the duplicate: a cloud
+        on [-2, 0] x [0, 1], whose points the unbalanced tree's first split
+        in x puts first in its leaf order, and 3 planted points at x >= 0."""
         rng = np.random.default_rng(15)
-        # a cloud on [-2, 0] x [0, 1]: the tree splits x first, so points
-        # at x >= 0 come last in its leaf order
         cloud = rng.random((300, 2)) * [2.0, 1.0] - [2.0, 0.0]
         a = np.array([0.0, 0.5])
         planted = {
@@ -375,11 +382,35 @@ class TestKdBlocks:
             # x differs by 1e-300, whose square underflows to 0
             "underflow": [a, a + [1e-300, 0.0], a + [2.0**-8, 0.0]],
         }[defect]
-        coords = np.vstack([cloud, planted])[rng.permutation(303)]
+        return np.vstack([cloud, planted])[rng.permutation(303)]
+
+    @pytest.mark.parametrize("defect", ["duplicate", "tie", "underflow"])
+    def test_defect_planted_after_the_first_block(self, monkeypatch, defect):
+        from scipy.spatial import cKDTree
+
+        block = 32
+        monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3 * block)
+        coords = self.planted(defect)
         at = np.argsort(cKDTree(coords, balanced_tree=False).indices)
         defect_rows = np.flatnonzero(coords[:, 0] >= 0)
         assert at[defect_rows].min() >= block  # none of them in the first block
         assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+
+    def test_a_tie_requeries_only_its_own_rows(self, monkeypatch):
+        import scipy.spatial
+
+        queries = []
+
+        class Spy(scipy.spatial.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.append((len(x), k))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
+        coords = self.planted("tie")
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+        # one first round over all points; then only a, whose two nearest tie
+        assert queries == [(303, 3), (1, 12)]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ class TestGenerate:
             PatternSpec("association", 5, 5, 0.0)
         with pytest.raises(InvalidInputError):
             PatternSpec(kind="lattice", n1=5, n2=5)
+        with pytest.raises(InvalidArgumentError, match="class sizes must be an integer"):
+            PatternSpec("csr", 5.5, 5)
+        with pytest.raises(TypeError):
+            PatternSpec("csr")  # no default sizes
+        spec = PatternSpec("csr", np.int64(3), 4)
+        assert type(spec.n1) is int and spec.n1 == 3
 
 
 class TestEstimateQR:
@@ -204,6 +210,8 @@ class TestSizeBand:
             size_band(1.5, 100)
         with pytest.raises(InvalidInputError):
             size_band(0.05, 0)
+        with pytest.raises(InvalidArgumentError, match="n_mc must be an integer"):
+            size_band(0.05, 2.5)
 
 
 class TestSimulationConfig:
@@ -274,15 +282,17 @@ class TestEmpiricalSize:
     @pytest.mark.parametrize("combos, match", [
         ([(1, 2)], r"combo \(1, 2\) has n = 3"),
         ([(10, 10), (0, 5)], "class sizes must be >= 1"),
-    ], ids=["n-3", "class-0"])
+        ([(5.5, 5)], "class sizes must be an integer"),
+    ], ids=["n-3", "class-0", "class-5.5"])
     def test_bad_combo_raises_before_any_replication(self, monkeypatch, combos, match):
         def never(*args):
             raise AssertionError("the study started before checking its arguments")
 
         monkeypatch.setattr(montecarlo, "adjusted_qr", never)
         monkeypatch.setattr(montecarlo, "_rejection_chunk", never)
-        with pytest.raises(InvalidArgumentError, match=match):
-            empirical_size(combos, _tiny_config(adjusted_source="estimate"))
+        for source in ("estimate", "asymptotic"):
+            with pytest.raises(InvalidArgumentError, match=match):
+                empirical_size(combos, _tiny_config(adjusted_source=source))
 
 
 class TestRejectionChunk:
