@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integral
+from .errors import InvalidArgumentError, InvalidInputError, check_integral
 from .geometry import LabeledPointSet, NNStructure
 
 # Row-wise cell order used for every 4-vector and 4x4 matrix in the package.
@@ -44,7 +44,7 @@ class ContingencyTable:
 
     @classmethod
     def from_counts(cls, counts) -> "ContingencyTable":
-        return cls(counts=np.asarray(counts))
+        return cls(counts=counts)
 
     @property
     def row_sums(self) -> tuple[int, int]:
@@ -106,7 +106,7 @@ def expected_counts(n1: int, n2: int, n: int) -> np.ndarray:
     evaluated as the row remainder n_i - E[N_ii] (algebraically identical)
     so each row sums to n_i exactly, ulps included.
     """
-    _check_margins(n1, n2, n, minimum=2)
+    n1, n2, n = _check_margins(n1, n2, n, minimum=2)
     e11 = n1 * (n1 - 1) / (n - 1)
     e22 = n2 * (n2 - 1) / (n - 1)
     return np.array([[e11, n1 - e11], [n2 - e22, e22]])
@@ -145,11 +145,23 @@ class CovarianceModel:
     sigma_full: np.ndarray
 
 
-def _check_margins(n1: int, n2: int, n: int, minimum: int) -> None:
+def _check_margins(n1: int, n2: int, n: int, minimum: int) -> tuple[int, int, int]:
+    """The margins as ints: integers, or floats with integral values, that
+    add up; anything else is refused, never used as a fractional size."""
+    try:
+        sizes = [int(v) for v in (n1, n2, n)]
+        integral = sizes == [n1, n2, n]
+    except (TypeError, ValueError, OverflowError):  # text, complex, NaN, inf
+        integral = False
+    if not integral:
+        raise InvalidArgumentError(
+            f"class sizes must be integers, got n1={n1!r}, n2={n2!r}, n={n!r}")
+    n1, n2, n = sizes
     if n1 < 0 or n2 < 0 or n1 + n2 != n:
         raise InvalidInputError(f"inconsistent margins: n1={n1}, n2={n2}, n={n}")
     if n < minimum:
         raise InvalidInputError(f"need at least {minimum} points, got n={n}")
+    return n1, n2, n
 
 
 def _cov_entry_coeffs(i, j, k, l, n1, n2, n) -> tuple[float, float, float]:
@@ -215,7 +227,7 @@ def cell_covariance(n1: int, n2: int, n: int, q, r) -> np.ndarray:
     values give the conditional model, substituted expectations the
     adjusted one.
     """
-    _check_margins(n1, n2, n, minimum=4)
+    n1, n2, n = _check_margins(n1, n2, n, minimum=4)
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if not (np.all((q >= 0) & (q < np.inf)) and np.all((r >= 0) & (r < np.inf))):

@@ -1,5 +1,6 @@
 """Exception types, and the seed and count rules, shared across the package."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -32,11 +33,36 @@ def check_count(value, what: str, minimum: int, message: str | None = None) -> i
     return count
 
 
+def check_real(value, what: str) -> float:
+    """A real parameter (a level, an offset, a radius): a Python or numpy
+    real number, returned as a float; text is refused, never parsed."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # ragged nesting (numpy < 1.24 makes an object array)
+        raise InvalidInputError(f"{what} must be a rectangular array") from None
+
+
+def check_real_array(values, what: str) -> np.ndarray:
+    """Real data (coordinates) as float64: booleans, integers or floats;
+    text, complex numbers and objects are invalid input, never parsed or
+    truncated."""
+    a = _array(values, what)
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what} must be real numbers")
+    return a.astype(float, copy=False)
+
+
 def check_integral(values, what: str) -> np.ndarray:
     """Integer data (counts, labels) as int64: integers, or floats with
     integral values, within the int64 range; anything else, NaN included,
     is invalid input, never truncated."""
-    a = np.asarray(values)
+    a = _array(values, what)
     kind = a.dtype.kind
     if not (kind in "bi" or kind == "u" and np.all(a < 2**63)
             or kind == "f" and np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**63))):

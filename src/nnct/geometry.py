@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integral
+from .errors import InvalidInputError, check_integral, check_real_array
 
 # Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17):
 # per set, brute force in 40-set stacks vs the kd-tree search, medians of
@@ -66,7 +66,7 @@ class LabeledPointSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = np.ascontiguousarray(check_real_array(self.points, "coordinates"))
         labs = check_integral(self.labels, "labels")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidInputError(f"points must have shape (n, 2), got {pts.shape}")

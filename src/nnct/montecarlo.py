@@ -16,7 +16,8 @@ from functools import cache, partial
 import numpy as np
 
 from .contingency import cell_covariance, tabulate_pairs
-from .errors import InvalidArgumentError, InvalidInputError, check_count, check_seed
+from .errors import (InvalidArgumentError, InvalidInputError, check_count, check_real,
+                     check_seed)
 from .geometry import LabeledPointSet, _nn_stack, digraph_q_r
 from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
@@ -35,9 +36,11 @@ PAPER_COMBOS: tuple[tuple[int, int], ...] = (
 
 QR_MODES = ("observed", "adjusted")
 
+# stream tags: the second entropy word of every random stream of the package
 _STREAM_QR = 1
 _STREAM_SIZE = 2
 _STREAM_POWER = 3
+_STREAM_PERM = 4  # permutation p-values, one stream per block of permutations
 _ALT_CODES = {"segregation": 11, "association": 12}
 _CHUNK = 500
 # coordinates per sub-block of a chunk: the points of a few replications are
@@ -77,6 +80,7 @@ class PatternSpec:
             raise InvalidArgumentError(f"unknown pattern kind {self.kind!r}")
         for name in ("n1", "n2"):
             object.__setattr__(self, name, check_count(getattr(self, name), "class sizes", 1))
+        object.__setattr__(self, "param", check_real(self.param, "pattern parameter"))
         if self.kind == "segregation" and not (0.0 <= self.param < 1.0):
             raise InvalidArgumentError(
                 f"segregation offset must be in [0, 1), got {self.param}")
@@ -136,9 +140,7 @@ class SimulationConfig:
     qr_estimate_nmc: int = 10000
 
     def __post_init__(self):
-        check_count(self.n_mc, "n_mc", 1)
-        if not (0.0 <= self.alpha < 1.0):
-            raise InvalidArgumentError(f"alpha must be in [0, 1), got {self.alpha}")
+        size_band(self.alpha, self.n_mc)  # the rule for alpha and n_mc
         check_seed(self.seed)
         check_count(self.parallelism, "workers", 1)
         check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1)
@@ -221,6 +223,7 @@ def size_band(alpha: float, n_mc: int) -> tuple[float, float]:
     """Acceptance band for an empirical size estimate at nominal level
     ``alpha``: alpha -/+ z_0.95 * sqrt(alpha (1 - alpha) / n_mc), a
     one-sided normal proportion test in each direction."""
+    alpha = check_real(alpha, "alpha")
     if not (0.0 <= alpha < 1.0):
         raise InvalidArgumentError(f"alpha must be in [0, 1), got {alpha}")
     n_mc = check_count(n_mc, "n_mc", 1)
@@ -326,29 +329,29 @@ def _word_seed_class():
     return WordSeed
 
 
+def _streams(key: tuple, lo: int, hi: int):
+    """The generators of ``default_rng([*key, rep])`` for ``rep`` in
+    [lo, hi), in order, built on the seed words of one ``_seed_words`` call."""
+    from numpy.random import PCG64, Generator
+
+    word_seed = _word_seed_class()
+    return (Generator(PCG64(word_seed(w))) for w in _seed_words(key, lo, hi))
+
+
 def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
     """NN digraphs of replications [lo, hi) of ``n`` points each.
 
     Replication ``rep`` draws its ``(n, 2)`` points as ``draw(rng)`` from
-    its own stream, the generator of ``default_rng([*key, rep])``, whose
-    seed words come from one ``_seed_words`` call for all of [lo, hi); a
+    its own stream, the generator of ``default_rng([*key, rep])``; a
     non-finite coordinate raises ``InvalidInputError``.  Yields
     ``(rows, nn, q, r)`` per sub-block: its slice ``rows`` of [lo, hi), its
-    ``(sets, n)`` NN indices and their Q and R.  (A permutation p-value
-    keeps ``default_rng``: its 16 generators at 999 permutations take ~190 us
-    against ~130 us from seed words, about 0.5% of the benchmark's
-    permutation workload, and its 2 at the 99-permutation minimum ~26 us
-    against ~160 us.)
+    ``(sets, n)`` NN indices and their Q and R.
     """
-    from numpy.random import PCG64, Generator
-
-    word_seed = _word_seed_class()
-    words = _seed_words(key, lo, hi)
+    streams = _streams(key, lo, hi)
     step = max(1, _DRAW_BLOCK // (2 * n))
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        coords = np.stack([draw(Generator(PCG64(word_seed(w))))
-                           for w in words[start - lo:stop - lo]])
+        coords = np.stack([draw(next(streams)) for _ in range(start, stop)])
         if not np.isfinite(coords).all():
             raise InvalidInputError("coordinates must be finite")
         nn = _nn_stack(coords)
@@ -535,7 +538,7 @@ def empirical_power(alternatives, combos, config: SimulationConfig) -> SizePower
     for kind, param in alternatives:
         if kind not in _ALT_CODES:
             raise InvalidArgumentError(f"unknown alternative kind {kind!r}")
-        alts.append((kind, float(param)))
+        alts.append((kind, check_real(param, f"{kind} parameter")))
     if not alts:
         raise InvalidArgumentError("need at least one alternative")
     return _study(alts, combos, config, "power")

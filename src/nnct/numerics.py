@@ -3,9 +3,11 @@ probabilities used by the tests.
 
 The 4x4 cell-count covariances of versions I-III are rank-deficient by
 construction.  ``generalized_inverse`` is the spectral pseudo-inverse with a
-fixed relative eigenvalue cutoff that defines those tests; the tests
-themselves evaluate it in closed form on the known 2-D range
-(``segregation._range_form``), under the same ``DEFAULT_REL_CUTOFF``.
+fixed relative eigenvalue cutoff that defines those tests; the statistics
+evaluate it in closed form on the known 2-D range
+(``segregation._range_form``), under the same ``DEFAULT_REL_CUTOFF``, which
+also decides whether Dixon's 2x2 block is full rank.  No statistic calls
+``generalized_inverse``; the test suite uses it as the reference.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ Four overall tests plus four cell-specific Z tests:
 * ``cell_specific_test`` -- Z_ij = (N_ij - E[N_ij]) / sd, standard normal.
 
 The fixed row sums confine each covariance of versions I-III to a known 2-D
-range, so their generalized-inverse forms are 2x2 closed forms on it.
+range, so their generalized-inverse forms are 2x2 forms on it, as Dixon's
+is on its block; all four share ``_range_form`` and its one rank rule.
 
 Every variance and covariance depends on the digraph statistics Q and R.
 The observed values condition the tests on the realized digraph;
@@ -68,20 +69,19 @@ class TestResult:
 
 def _range_form(m11, m12, m22, y1, y2):
     """y' M^+ y for each symmetric 2x2 M = [[m11, m12], [m12, m22]] and
-    2-vector y, elementwise over equal-shape arrays.
-
-    The cutoff is that of ``generalized_inverse``: the smaller eigenvalue
-    is dropped when det M <= DEFAULT_REL_CUTOFF * lam^2, lam the larger
-    one, leaving (v.y)^2 / lam on its unit eigenvector v, and a matrix with
-    lam <= 0 gives 0.  The form is PSD, so a value that rounds below zero
-    is clamped to 0; NaN stays NaN.
+    2-vector y, elementwise over equal-shape arrays, and whether M is full
+    rank by the rule of ``generalized_inverse``: lam > 0 and det M >
+    DEFAULT_REL_CUTOFF * lam^2, lam the larger eigenvalue.  Otherwise the
+    smaller eigenvalue is dropped, leaving (v.y)^2 / lam on its unit
+    eigenvector v, and a matrix with lam <= 0 gives 0.  The form is PSD, so a
+    value that rounds below zero is clamped to 0; NaN stays NaN (not full).
     """
     half_gap = 0.5 * (m11 - m22)
     root = np.sqrt(half_gap * half_gap + m12 * m12)
     lam = 0.5 * (m11 + m22) + root
     det = m11 * m22 - m12 * m12
-    full = det > DEFAULT_REL_CUTOFF * lam * lam  # False on NaN
     zero = lam <= 0.0
+    full = ~zero & (det > DEFAULT_REL_CUTOFF * lam * lam)  # False on NaN
     # the top eigenvector (lam - m22, m12) or (m12, lam - m11), whichever is
     # longer; both lam - m22 = root + half_gap and lam - m11 = root - half_gap
     # are >= 0, so the longer one has no cancellation
@@ -91,7 +91,7 @@ def _range_form(m11, m12, m22, y1, y2):
     proj = v1 * y1 + v2 * y2
     rank1 = proj * proj / np.where(full | zero, 1.0, (v1 * v1 + v2 * v2) * lam)
     form = (m22 * y1 * y1 - 2.0 * m12 * y1 * y2 + m11 * y2 * y2) / np.where(full, det, 1.0)
-    return np.where(zero, 0.0, np.maximum(np.where(full, form, rank1), 0.0))
+    return np.where(zero, 0.0, np.maximum(np.where(full, form, rank1), 0.0)), full
 
 
 def _statistic_only(flavor, counts, sigma):
@@ -100,10 +100,10 @@ def _statistic_only(flavor, counts, sigma):
     ``sigma`` (one matrix for all tables, or a ``(B, 4, 4)`` stack).
 
     Returns a float array of length B; NaN marks a table whose test is
-    undefined (a zero variance, a singular Dixon block, a zero row or
-    column sum where the test divides by it, or a non-finite quadratic
-    form).  Each value depends only on its own table and covariance.  Cell
-    flavors give the signed Z.
+    undefined (a zero variance, a Dixon block that is not full rank, a
+    zero row or column sum where the test divides by it, or a non-finite
+    quadratic form).  Each value depends only on its own table and
+    covariance.  Cell flavors give the signed Z.
     """
     counts = np.asarray(counts, dtype=np.int64)
     rows = counts.sum(axis=2)
@@ -119,13 +119,9 @@ def _statistic_only(flavor, counts, sigma):
 
     if flavor == FLAVOR_DIXON:
         expected = expected_counts(n1, n2, n)
-        y = np.stack([cells[:, 0] - expected[0, 0], cells[:, 3] - expected[1, 1]], axis=1)
-        block = sigma[:, [[0, 0], [3, 3]], [[0, 3], [0, 3]]]
-        v11, v22, c = block[:, 0, 0], block[:, 1, 1], block[:, 0, 1]
-        # positive definite: both variances and the determinant positive
-        bad = ~((v11 > 0.0) & (v22 > 0.0) & (v11 * v22 - c * c > 0.0))
-        block = np.where(bad[:, None, None], np.eye(2), block)
-        stat = (y[:, None, :] @ np.linalg.solve(block, y[:, :, None]))[:, 0, 0]
+        stat, full = _range_form(sigma[:, 0, 0], sigma[:, 0, 3], sigma[:, 3, 3],
+                                 cells[:, 0] - expected[0, 0], cells[:, 3] - expected[1, 1])
+        bad = ~full
     elif flavor in (FLAVOR_I, FLAVOR_II, FLAVOR_III):
         # vec' m^+ vec on the range of m, the covariance of vec: sigma for
         # III, and for I and II sigma scaled by diag(sqrt(n / (n_i o_j))),
@@ -158,7 +154,7 @@ def _statistic_only(flavor, counts, sigma):
         g12 = o22 * s[:, 0, 2] - oo * (s[:, 0, 3] + s[:, 1, 2]) + o11 * s[:, 1, 3]
         g22 = o22 * s[:, 2, 2] - 2 * oo * s[:, 2, 3] + o11 * s[:, 3, 3]
         stat = _range_form(g11 / r1, g12 / np.sqrt(r1 * r2), g22 / r2,
-                           p1 / np.sqrt(r1), p2 / np.sqrt(r2)) / scale
+                           p1 / np.sqrt(r1), p2 / np.sqrt(r2))[0] / scale
     elif flavor in CELL_FLAVORS:
         pos = CELL_FLAVORS.index(flavor)
         expected = expected_counts(n1, n2, n).ravel()[pos]
@@ -278,9 +274,8 @@ def run_battery(
     return run_battery_from_table(nnct, q, r)
 
 
-_PERM_STREAM_TAG = 4
 # permutations per random stream: permutations 64b .. 64b + 63 draw from
-# one generator keyed by (seed, _PERM_STREAM_TAG, b)
+# one generator keyed by (seed, montecarlo._STREAM_PERM, b)
 _PERM_BLOCK = 64
 # permuted labelings tabulated and scored at once: the (rows x points)
 # boolean labels stay near 256 kB at any n; no p-value depends on it
@@ -321,6 +316,8 @@ def permutation_pvalue(
     draws the same permutations at every item size, so neither the item
     type nor the sub-blocks change a p-value.
     """
+    from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
+
     n_perm = check_count(n_perm, "n_perm", 99)
     seed = check_seed(seed)
     n1, n2 = pts.class_sizes
@@ -342,8 +339,8 @@ def permutation_pvalue(
     block = np.empty((min(rows, _PERM_BLOCK), pts.n), dtype=bool)
     at_least = scored = 0
     tables = []
-    for start in range(0, n_perm, _PERM_BLOCK):
-        rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // _PERM_BLOCK])
+    streams = _streams((seed, _STREAM_PERM), 0, -(-n_perm // _PERM_BLOCK))
+    for start, rng in zip(range(0, n_perm, _PERM_BLOCK), streams):
         stop = min(start + _PERM_BLOCK, n_perm)
         for lo in range(start, stop, rows):
             labels = block[:min(rows, stop - lo)]

@@ -42,8 +42,14 @@ def random_point_set(rng: np.random.Generator, n: int, n1: int | None = None) ->
     return LabeledPointSet(rng.random((n, 2)), labels)
 
 
+def pair_points(pairs: int) -> np.ndarray:
+    """``pairs`` far-apart mutual NN pairs on a line: Q = 0 and R = 2 pairs,
+    so on any labeling N11 and N22 are perfectly correlated and the
+    observed Dixon block is singular."""
+    return np.array([(10.0 * k + d, 0.0) for k in range(pairs) for d in (0.0, 0.5)])
+
+
 def mutual_pairs(spec, rng) -> np.ndarray:
-    """Stand-in for ``montecarlo._draw_points``: ten far-apart mutual NN
-    pairs, classes 1 then 2.  Q = 0 and R = 20, so N11 and N22 are perfectly
-    correlated and the observed Dixon block is singular."""
-    return np.array([(10.0 * k + d, 0.0) for k in range(10) for d in (0.0, 0.5)])
+    """Stand-in for ``montecarlo._draw_points``: ten mutual NN pairs,
+    classes 1 then 2 (Q = 0 and R = 20)."""
+    return pair_points(10)

@@ -23,7 +23,7 @@ from nnct import cli, montecarlo
 from nnct.cli import build_parser, main
 from nnct.report import AnalysisReport
 
-from conftest import DATA_DIR, mutual_pairs
+from conftest import DATA_DIR, mutual_pairs, pair_points
 
 FIXTURE = str(DATA_DIR / "artificial_100.csv")
 
@@ -181,6 +181,14 @@ class TestAnalyze:
         )
         assert main(["analyze", tiny]) == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n1, n2", [(10, 10), (20, 30), (30, 30), (50, 100), (100, 100)])
+    def test_all_mutual_pairs_make_dixon_degenerate(self, tmp_path, capsys, n1, n2):
+        labels = np.repeat(["a", "b"], [n1, n2])
+        rows = "".join(f"{x!r},{y!r},{lab}\n"
+                       for (x, y), lab in zip(pair_points((n1 + n2) // 2).tolist(), labels))
+        assert main(["analyze", write(tmp_path, "x,y,label\n" + rows)]) == 5
+        assert "dixon_overall is undefined" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [100, 300], ids=["brute", "kdtree"])
     def test_overflowing_squared_distances_are_invalid_input(self, tmp_path, capsys, n):

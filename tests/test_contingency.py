@@ -5,6 +5,7 @@ import pytest
 
 from nnct import (
     ContingencyTable,
+    InvalidArgumentError,
     InvalidInputError,
     LabeledPointSet,
     build_nnct,
@@ -78,6 +79,9 @@ class TestContingencyTable:
         for bad in (1.5, np.nan, np.inf, 2**63, 2.0**63, 2**64):
             with pytest.raises(InvalidInputError, match="cell counts must be integers"):
                 ContingencyTable([[bad, 2], [3, 4]])
+        for bad in ([[1, 2], [3]], [[1, 2], ["3", 4]], [[1, 2], [3, 4 + 0j]]):
+            with pytest.raises(InvalidInputError, match="cell counts must be"):
+                ContingencyTable.from_counts(bad)
 
     def test_integral_floats_are_counts(self):
         table = ContingencyTable([[1.0, 2.0], [3.0, 4.0]])
@@ -111,6 +115,30 @@ class TestExpectedCounts:
             expected_counts(1, 0, 1)
         with pytest.raises(InvalidInputError):
             expected_counts(2, 2, 5)
+
+
+@pytest.mark.parametrize("call", [expected_counts, covariance_model, cell_covariance],
+                         ids=["expected_counts", "covariance_model", "cell_covariance"])
+class TestClassSizes:
+    @staticmethod
+    def run(call, n1, n2, n):
+        return call(n1, n2, n) if call is expected_counts else call(n1, n2, n, 30.0, 28.0)
+
+    @pytest.mark.parametrize("sizes", [(5.5, 4.5, 10), (5, 5, 10.5), (np.nan, 5, 10),
+                                       (5, 5, np.inf), ("5", 5, 10), (5, 5, 10 + 0j)])
+    def test_sizes_that_are_not_integers_are_refused(self, call, sizes):
+        with pytest.raises(InvalidArgumentError, match="class sizes must be integers"):
+            self.run(call, *sizes)
+
+    def test_integral_floats_give_the_bytes_of_ints(self, call):
+        def raw(*sizes):
+            out = self.run(call, *sizes)
+            if call is covariance_model:
+                return out.expected.tobytes() + out.sigma_full.tobytes()
+            return out.tobytes()
+
+        for floats in ((20.0, 30.0, 50.0), (np.float64(20), np.int64(30), 50.0)):
+            assert raw(*floats) == raw(20, 30, 50)
 
 
 class TestPairProbabilities:

@@ -85,6 +85,16 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="spread too far"):
             pts([(-1e308, 0.0), (1e308, 0.0)])  # the span itself overflows
 
+    @pytest.mark.parametrize("coords", [[[1, 2], [3, "x"]], [[1, 2], [3, "4"]], [[1, 2], [3]],
+                                        [[1, 2], [3, 4 + 1j]], np.array([[1, 2], [3, 4 + 0j]]),
+                                        [[1, 2], [3, None]]],
+                             ids=["text", "numeric-text", "ragged", "complex", "complex-array",
+                                  "none"])
+    def test_coordinates_that_are_not_real_numbers(self, coords):
+        # refused, never parsed from text or truncated to their real part
+        with pytest.raises(InvalidInputError, match="coordinates must be"):
+            LabeledPointSet(coords, [1, 2])
+
     def test_bad_labels(self):
         with pytest.raises(InvalidInputError):
             pts([(0, 0), (1, 1)], labels=[1, 3])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnct import (
@@ -31,6 +31,7 @@ from nnct.errors import DegenerateTestError
 from nnct.geometry import _BRUTE_FORCE_MAX
 from nnct.montecarlo import (
     _ALT_CODES,
+    _STREAM_PERM,
     _STREAM_POWER,
     _STREAM_QR,
     _STREAM_SIZE,
@@ -212,6 +213,23 @@ class TestSizeBand:
             size_band(0.05, 0)
         with pytest.raises(InvalidArgumentError, match="n_mc must be an integer"):
             size_band(0.05, 2.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimulationConfig(n_mc=10, seed=1, alpha="0.05"),
+    lambda: SimulationConfig(n_mc=10, seed=1, alpha=None),
+    lambda: size_band("0.05", 10),
+    lambda: size_band(0.05 + 0j, 10),
+    lambda: empirical_power([("segregation", "1/6")], [(10, 10)], _tiny_config()),
+    lambda: empirical_power([("segregation", None)], [(10, 10)], _tiny_config()),
+    lambda: empirical_power([("association", "0.25")], [(10, 10)], _tiny_config()),
+    lambda: PatternSpec("segregation", 10, 10, "0.5"),
+    lambda: PatternSpec("association", 10, 10, [0.5]),
+], ids=["config-alpha-text", "config-alpha-none", "band-alpha-text", "band-alpha-complex",
+        "power-fraction-text", "power-none", "power-text", "spec-text", "spec-list"])
+def test_parameters_that_are_not_real_numbers(call):
+    with pytest.raises(InvalidArgumentError, match="must be a real number"):
+        call()
 
 
 class TestSimulationConfig:
@@ -403,7 +421,10 @@ class TestStreamSeeds:
         st.tuples(_SEED, st.just(_STREAM_SIZE), _KEY_INT, _KEY_INT),
         st.tuples(_SEED, st.just(_STREAM_POWER), st.sampled_from(sorted(_ALT_CODES.values())),
                   _KEY_INT, _KEY_INT, _KEY_INT),
+        st.tuples(_SEED, st.just(_STREAM_PERM)),
     ))
+    # 3 entropy words with the rep: numpy pads the pool of 4 with zeros
+    @example(key=(1, _STREAM_PERM))
     def test_seed_words_are_numpys_seed_sequence(self, key):
         # reps 0 and 1, and reps on both sides of 2**32 (one and two words)
         for lo, hi in ((0, 2), (2**32 - 2, 2**32 + 2)):

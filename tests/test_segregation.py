@@ -33,8 +33,8 @@ from nnct import (
 )
 from nnct import segregation
 from nnct.contingency import cell_covariance, tabulate_pairs
+from nnct.montecarlo import _STREAM_PERM
 from nnct.segregation import (
-    _PERM_STREAM_TAG,
     CELL_FLAVORS,
     OVERALL_FLAVORS,
     _range_form,
@@ -48,6 +48,7 @@ from conftest import (
     ARTI_R_ADJ,
     SWAMP_Q,
     SWAMP_R,
+    pair_points,
     random_point_set,
 )
 
@@ -157,6 +158,51 @@ class TestDixonOverall:
         table = ContingencyTable.from_counts([[6, 4], [3, 7]])
         with pytest.raises(DegenerateTestError):
             dixon_overall(table, m)
+
+
+    @pytest.mark.parametrize("n1, n2", [(10, 10), (20, 30), (30, 30), (50, 100), (100, 100)])
+    def test_all_mutual_pairs_are_degenerate_at_every_size(self, n1, n2):
+        # Q = 0 and R = n: N11 - N22 = n1 - n2 on every labeling, so the
+        # block is exactly singular, however its determinant rounds
+        pts = LabeledPointSet(pair_points((n1 + n2) // 2), np.repeat([1, 2], [n1, n2]))
+        nns = compute_nn(pts)
+        assert (nns.Q, nns.R) == (0, n1 + n2)
+        table = build_nnct(pts, nns)
+        model = model_for(table, nns.Q, nns.R)
+        assert np.isnan(_statistic_only("dixon_overall", table.counts[None], model.sigma_full)).all()
+        with pytest.raises(DegenerateTestError):
+            dixon_overall(table, model)
+
+    @pytest.mark.parametrize("gap, full", [(2.0**-24, True), (2.0**-27, False)])
+    def test_block_near_the_cutoff(self, gap, full):
+        # B = [[1, c], [c, 1]] with c = 1 - gap: det B = 2 gap - gap^2 is
+        # exact, against the cutoff 1e-8 * lam^2 ~ 4e-8
+        sigma = np.eye(4)
+        sigma[0, 3] = sigma[3, 0] = 1.0 - gap
+        counts = np.array([[7, 3], [8, 2]])
+        stat = _statistic_only("dixon_overall", counts[None], sigma)[0]
+        if not full:
+            assert np.isnan(stat)
+            return
+        e = expected_counts(10, 10, 20)
+        y1, y2 = 7 - Fraction(e[0, 0]), 2 - Fraction(e[1, 1])
+        c = Fraction(sigma[0, 3])
+        exact = (y1 * y1 - 2 * c * y1 * y2 + y2 * y2) / (1 - c * c)
+        assert stat == pytest.approx(float(exact), rel=1e-12)
+
+    def test_stack_across_the_cutoff_equals_single_tables_bitwise(self):
+        # Q = 0, R = 20 makes the block singular; Q = 1e-9 leaves it below the
+        # cutoff (det / lam^2 ~ 2.5e-11) and Q = 1e-6 just above it (~2.5e-8)
+        q = np.array([12.6, 0.0, 1e-9, 1e-6, 14.0, 0.0])
+        r = np.array([12.4, 20.0, 20.0, 20.0, 10.0, 20.0])
+        sigma = cell_covariance(10, 10, 20, q, r)
+        counts = np.array([[[6, 4], [3, 7]], [[10, 0], [0, 10]], [[7, 3], [3, 7]],
+                           [[8, 2], [4, 6]], [[5, 5], [4, 6]], [[4, 6], [6, 4]]])
+        stacked = _statistic_only("dixon_overall", counts, sigma)
+        single = [_statistic_only("dixon_overall", counts[k][None], sigma[k])[0]
+                  for k in range(len(q))]
+        assert np.isnan(stacked).tolist() == [False, True, True, False, False, True]
+        assert stacked.tobytes() == np.array(single).tobytes()
 
 
 class TestVersionTests:
@@ -351,8 +397,9 @@ class TestClosedForm:
     def test_cutoff_is_that_of_the_generalized_inverse(self, eps):
         for m in (np.diag([1.0, eps]), np.array([[0.5 + eps, 0.5], [0.5, 0.5 + eps]])):
             y = np.array([0.3, -1.7])
-            got = _range_form(*(np.array([x]) for x in (m[0, 0], m[0, 1], m[1, 1], *y)))
+            got, full = _range_form(*(np.array([x]) for x in (m[0, 0], m[0, 1], m[1, 1], *y)))
             assert got[0] == pytest.approx(y @ generalized_inverse(m) @ y, rel=1e-6)
+            assert full[0] == (eps > 1e-8)
 
     @pytest.mark.parametrize("g", [(0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-1.0, 0.0, -2.0)],
                              ids=["zero", "zero-top", "negative"])
@@ -362,9 +409,12 @@ class TestClosedForm:
 
     def test_nan_propagates(self):
         ones = np.ones(3)
-        for args in ((np.nan, 0.0, 1.0, 1.0, 1.0), (1.0, np.nan, 1.0, 1.0, 1.0),
-                     (1.0, 0.0, 1.0, np.nan, 0.0)):
-            assert np.isnan(_range_form(*(a * ones for a in args))).all()
+        for args, full_rank in (((np.nan, 0.0, 1.0, 1.0, 1.0), False),
+                                ((1.0, np.nan, 1.0, 1.0, 1.0), False),
+                                ((1.0, 0.0, 1.0, np.nan, 0.0), True)):
+            value, full = _range_form(*(a * ones for a in args))
+            assert np.isnan(value).all()
+            assert (full == full_rank).all()
         sigma = np.full((4, 4), np.nan)
         for flavor in ("version_I", "version_II", "version_III"):
             assert np.isnan(_statistic_only(flavor, np.array([[[6, 4], [3, 7]]]), sigma)).all()
@@ -375,7 +425,7 @@ def perm_stream(seed, labels, n_perm):
     64b .. 64b + 63 are successive ``permutation`` calls on block b's
     generator."""
     for start in range(0, n_perm, 64):
-        rng = np.random.default_rng([seed, _PERM_STREAM_TAG, start // 64])
+        rng = np.random.default_rng([seed, _STREAM_PERM, start // 64])
         for _ in range(start, min(start + 64, n_perm)):
             yield rng.permutation(labels)
 
@@ -387,7 +437,7 @@ def test_permuted_draws_the_same_permutations_at_every_item_size(n, seed):
     is defined on labels: numpy's ``permuted`` must give the permutations of
     successive ``permutation`` calls for bool, int64 and float64 items, in
     one 64-row block or in sub-blocks from the same generator."""
-    key = [seed, _PERM_STREAM_TAG, 3]
+    key = [seed, _STREAM_PERM, 3]
     rng = np.random.default_rng(key)
     order = np.array([rng.permutation(n) for _ in range(64)])
     class1 = np.arange(n) % 3 == 0
