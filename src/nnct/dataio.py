@@ -29,7 +29,8 @@ _BLOCK_ROWS = 1 << 13
 
 class _Columns:
     """Coordinates and class codes of the data rows read so far, one array
-    per block, and the label -> class mapping that coded them."""
+    per block (``(rows, 2)``, so that they join into the points without a
+    further copy), and the label -> class mapping that coded them."""
 
     def __init__(self, mapping: dict[str, int], pinned: bool):
         self.mapping = mapping
@@ -63,7 +64,7 @@ class _Columns:
             for lab in new:
                 self.mapping[lab] = len(self.mapping) + 1
         class_1 = next(iter(self.mapping))  # first seen, or classes[0]
-        self.points.append(pts)
+        self.points.append(pts.T.copy())
         self.labels.append(np.where(np.array(labs, dtype=object) == class_1, 1, 2))
         return True
 
@@ -94,7 +95,7 @@ class _Columns:
             ys.append(y)
             codes.append(mapping[lab])
         if codes:
-            self.points.append(np.array([xs, ys], dtype=float))
+            self.points.append(np.array([xs, ys], dtype=float).T.copy())
             self.labels.append(np.array(codes))
 
 
@@ -205,4 +206,4 @@ def ingest(
     labels = np.concatenate(cols.labels)
     if labels.min() == labels.max():
         raise InvalidInputError("input has fewer than 2 classes")
-    return LabeledPointSet(np.concatenate(cols.points, axis=1).T, labels)
+    return LabeledPointSet(np.concatenate(cols.points), labels)

@@ -23,6 +23,8 @@ identical indices.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +170,46 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
+def _search_cpus() -> int:
+    """CPUs over which the kd-tree search shares a round's blocks: those
+    this process may run on, or 1 in a ``multiprocessing`` child, whose
+    sibling processes (``--workers``) already fill them."""
+    # a child has imported multiprocessing; any other process need not
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shared(fn, items: range, cpus: int) -> list:
+    """``[fn(x) for x in items]``, run by the calling thread and up to
+    ``cpus - 1`` helper threads, each taking the next item left."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    out = [None] * len(items)
+    left = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(left, None)
+            if i is None:
+                return
+            out[i] = fn(items[i])
+
+    helpers = min(cpus, len(items)) - 1
+    with ThreadPoolExecutor(helpers) as pool:
+        running = [pool.submit(work) for _ in range(helpers)]
+        work()
+        for r in running:
+            r.result()
+    return out
+
+
 def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
                         lowest: np.ndarray | None = None) -> np.ndarray:
     """Fill ``winner`` with the lowest index over the other sites nearest to
@@ -181,44 +223,58 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
     query found it.  The others recompute ``dx*dx + dy*dy``, as
     ``_nn_brute`` does, and ``k`` grows on those whose k-th candidate is not
     yet strictly farther than their minimum, so no tied site is cut off.
+
+    A round of more than one block is shared by ``_search_cpus()`` threads
+    (``cKDTree.query`` releases the GIL), each block then ``cpus`` times
+    smaller, so that the blocks in flight hold what one block holds.  Blocks
+    write disjoint sites and their open sites join in block order, so the
+    result does not depend on the thread count.
     """
     from scipy.spatial import cKDTree
 
     ns = site_xy.shape[0]
     zero = np.zeros(ns, dtype=bool)
     tree = cKDTree(site_xy, balanced_tree=False)
+
+    def resolve(q, k):
+        """Answer the sites ``q`` from ``k`` candidates; return those left open."""
+        dist, cand = tree.query(site_xy[q], k=k)
+        cand = cand.reshape(q.size, k)
+        ids = cand if lowest is None else lowest[cand]
+        if k > 2:
+            # the site itself comes first, alone at distance 0
+            gap = (dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])
+            if gap.all():
+                winner[q] = ids[:, 1]
+                return q[:0]
+            if gap.any():  # a grid's sites have none
+                winner[q[gap]] = ids[gap, 1]
+                q, cand, ids = q[~gap], cand[~gap], ids[~gap]
+        dx = site_xy[cand, 0] - site_xy[q, 0][:, None]
+        dy = site_xy[cand, 1] - site_xy[q, 1][:, None]
+        d2 = dx * dx + dy * dy
+        kth = d2[:, -1].copy()
+        other = cand != q[:, None]
+        d2[~other] = np.inf
+        m = d2.min(axis=1)
+        done = (kth > m) | (k == ns)
+        best = np.where(other & (d2 == m[:, None]), ids, _NO_SITE)
+        zero[q[done]] = m[done] == 0
+        winner[q[done]] = best[done].min(axis=1)
+        return q[~done]
+
     todo = tree.indices
     k = min(ns, k)
     while todo.size:
         block = max(1, _SITE_BLOCK_ENTRIES // k)
-        unresolved = []
-        for start in range(0, todo.size, block):
-            q = todo[start:start + block]
-            dist, cand = tree.query(site_xy[q], k=k)
-            cand = cand.reshape(q.size, k)
-            ids = cand if lowest is None else lowest[cand]
-            if k > 2:
-                # the site itself comes first, alone at distance 0
-                gap = (dist[:, 1] > 0) & (dist[:, 1] < dist[:, 2])
-                if gap.all():
-                    winner[q] = ids[:, 1]
-                    continue
-                if gap.any():  # a grid's sites have none
-                    winner[q[gap]] = ids[gap, 1]
-                    q, cand, ids = q[~gap], cand[~gap], ids[~gap]
-            dx = site_xy[cand, 0] - site_xy[q, 0][:, None]
-            dy = site_xy[cand, 1] - site_xy[q, 1][:, None]
-            d2 = dx * dx + dy * dy
-            kth = d2[:, -1].copy()
-            other = cand != q[:, None]
-            d2[~other] = np.inf
-            m = d2.min(axis=1)
-            done = (kth > m) | (k == ns)
-            best = np.where(other & (d2 == m[:, None]), ids, _NO_SITE)
-            zero[q[done]] = m[done] == 0
-            winner[q[done]] = best[done].min(axis=1)
-            unresolved.append(q[~done])
-        todo = np.concatenate(unresolved) if unresolved else todo[:0]
+        cpus = _search_cpus() if todo.size > block else 1
+        block = max(1, _SITE_BLOCK_ENTRIES // (k * cpus))
+        starts = range(0, todo.size, block)
+        if cpus == 1:
+            unresolved = [resolve(todo[start:start + block], k) for start in starts]
+        else:
+            unresolved = _shared(lambda start: resolve(todo[start:start + block], k), starts, cpus)
+        todo = np.concatenate(unresolved)
         k = min(ns, 4 * k)
     return zero
 

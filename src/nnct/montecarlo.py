@@ -141,6 +141,10 @@ class SimulationConfig:
 
     def __post_init__(self):
         size_band(self.alpha, self.n_mc)  # the rule for alpha and n_mc
+        # reports write alpha to JSON and CSV: a numpy scalar or a Fraction
+        # becomes a float, a Python int or float is kept as given
+        if type(self.alpha) not in (int, float):
+            object.__setattr__(self, "alpha", float(self.alpha))
         check_seed(self.seed)
         check_count(self.parallelism, "workers", 1)
         check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1)

@@ -423,6 +423,155 @@ class TestKdBlocks:
         assert queries == [(303, 3), (1, 12)]
 
 
+def signed_zero_grid(side: int, rng) -> np.ndarray:
+    """A shuffled integer lattice whose zero coordinates carry random signs,
+    so that 0.0 and -0.0 must meet as one coordinate."""
+    cell = rng.permutation(side * side)
+    coords = np.column_stack([cell // side, cell % side]).astype(float)
+    return np.where(coords == 0, rng.choice([0.0, -0.0], coords.shape), coords)
+
+
+class TestSplitRounds:
+    """A round of more than one block is shared between the calling thread
+    and ``cpus - 1`` helpers, in blocks ``cpus`` times smaller; indices,
+    winners and zero flags do not depend on ``cpus``."""
+
+    BLOCK = 32  # rows per block of the first k = 3 round, before the split
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3 * self.BLOCK)
+
+        def at(cpus):
+            monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
+        return at
+
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(16)
+        dup = rng.random((40, 2))
+        yield "random", rng.random((500, 2))
+        yield "grid", signed_zero_grid(15, rng)
+        yield "duplicates", dup[rng.integers(0, 40, 300)]
+        zeros = signed_zero_grid(12, rng)[rng.integers(0, 144, 400)]
+        yield "signed zeros", np.where(zeros == 0, rng.choice([0.0, -0.0], zeros.shape), zeros)
+        for defect in ("duplicate", "tie", "underflow"):
+            yield defect, TestKdBlocks.planted(defect)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_thread_count_gives_the_brute_force_indices(self, small_blocks, cpus):
+        small_blocks(cpus)
+        for name, coords in self.sets():
+            assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords)), name
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # one-row blocks and a short switch interval: a block no thread took
+        # would leave its winners unwritten and its open rows out of the next
+        # round
+        import sys
+
+        monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3)
+        monkeypatch.setattr(geometry, "_search_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, coords in self.sets():
+                assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords)), name
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("lowest", [False, True])
+    def test_winners_and_zero_flags_match_the_serial_search(self, small_blocks, cpus, lowest):
+        for name, coords in self.sets():
+            order, starts = _point_sites(coords)
+            sites = order[starts] if lowest else np.arange(len(coords))
+            low = sites if lowest else None
+            found = []
+            for c in (1, cpus):
+                small_blocks(c)
+                winner = np.empty(sites.size, dtype=np.intp)
+                zero = geometry._nearest_other_site(coords[sites], 3, winner, low)
+                found.append((winner, zero))
+            (w1, z1), (w2, z2) = found
+            assert np.array_equal(w1, w2) and np.array_equal(z1, z2), name
+
+    def test_a_second_round_over_several_blocks(self, small_blocks, monkeypatch):
+        import scipy.spatial
+
+        queries = []
+
+        class Spy(scipy.spatial.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queries.append((k, len(x)))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Spy)
+        # every inner lattice point ties four ways, so k = 3 leaves it open
+        coords = signed_zero_grid(20, np.random.default_rng(17))
+        expected = _nn_brute(coords)
+        for cpus in (1, 2, 3):
+            small_blocks(cpus)
+            queries.clear()
+            winner = np.empty(len(coords), dtype=np.intp)
+            zero = geometry._nearest_other_site(coords, 3, winner)
+            assert np.array_equal(winner, expected) and not zero.any()
+            # blocks finish in any order; count them per round
+            rows = {k: sorted(n for kk, n in queries if kk == k) for k, _ in queries}
+            assert sum(rows[3]) == len(coords) and max(rows[3]) == self.BLOCK // cpus
+            assert len(rows[12]) > cpus and max(rows[12]) == 3 * self.BLOCK // (12 * cpus)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        return made
+
+    def test_a_pool_only_for_rounds_of_several_blocks(self, small_blocks, pools):
+        small_blocks(2)
+        coords = np.random.default_rng(18).random((self.BLOCK, 2))
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+        assert pools == []  # one block
+        coords = np.random.default_rng(18).random((self.BLOCK + 1, 2))
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+        assert pools == [(1,)]  # one helper beside the calling thread
+
+    def test_cpu_count(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert geometry._search_cpus() == 3
+        monkeypatch.delattr(geometry.os, "sched_getaffinity")
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 4)
+        assert geometry._search_cpus() == 4
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert geometry._search_cpus() == 1
+
+    def test_a_multiprocessing_child_searches_serially(self, monkeypatch, pools):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3 * self.BLOCK)
+        coords = np.random.default_rng(19).random((5 * self.BLOCK, 2))
+        assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
+        assert pools == []
+
+    def test_a_real_child_process_counts_one_cpu(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(1) as pool:
+            assert pool.submit(geometry._search_cpus).result() == 1
+
+
 # ---------------------------------------------------------------------------
 # stacked search: one brute-force call over many sets, as the Monte Carlo
 # engine makes it, must give each set's own lowest-index NN

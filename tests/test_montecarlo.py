@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,6 +252,19 @@ class TestSimulationConfig:
     def test_values_that_are_not_integers(self, kw):
         with pytest.raises(InvalidArgumentError):
             SimulationConfig(**{"n_mc": 10, "seed": 1, **kw})
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), Fraction(1, 20), np.int64(0),
+                                       np.float64(0.05)],
+                             ids=["float32", "Fraction", "int64", "float64"])
+    def test_any_real_alpha_reaches_the_report(self, alpha):
+        config = SimulationConfig(n_mc=5, seed=1, alpha=alpha, adjusted_source="asymptotic")
+        assert type(config.alpha) is float and config.alpha == float(alpha)
+        report = empirical_size([(10, 10)], config)
+        assert json.loads(report.to_json())["alpha"] == float(alpha)
+        report.write_csv(io.StringIO())
+
+    def test_python_numbers_are_kept_as_given(self):
+        assert type(SimulationConfig(n_mc=5, seed=1, alpha=0).alpha) is int
 
     @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
     def test_qr_estimate_nmc_below_one(self, source):
