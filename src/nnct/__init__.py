@@ -44,7 +44,7 @@ from .montecarlo import (
     generate,
     size_band,
 )
-from .numerics import DEFAULT_REL_CUTOFF, chi2_sf, generalized_inverse, normal_sf
+from .numerics import DEFAULT_REL_CUTOFF, chi2_sf, normal_sf
 from .report import AnalysisReport
 from .segregation import (
     CELL_FLAVORS,
@@ -96,7 +96,6 @@ __all__ = [
     "empirical_size",
     "estimate_qr",
     "expected_counts",
-    "generalized_inverse",
     "generate",
     "ingest",
     "normal_sf",

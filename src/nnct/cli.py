@@ -210,7 +210,7 @@ def _cmd_analyze(args) -> int:
     results = run_battery_from_table(table, q_used, r_used, _SIDED[args.sided])
     tests = results if args.cells else results[:4]
     rep = AnalysisReport(
-        duplicate_points=pts.has_duplicate_points(),
+        duplicate_points=pts.has_duplicate_points(nns),
         table=table, q=nns.Q, r=nns.R,
         qr_mode=args.qr_mode, q_used=q_used, r_used=r_used,
         tests=tuple(tests), seed=args.seed,

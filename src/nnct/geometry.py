@@ -101,11 +101,18 @@ class LabeledPointSet:
         n1 = int(np.count_nonzero(self.labels == 1))
         return n1, self.n - n1
 
-    def has_duplicate_points(self) -> bool:
-        """True when two points share exact coordinates.  Points with
-        distinct x-coordinates cannot coincide, so only a set with a
-        repeated x is sorted into sites."""
-        return not (_distinct_x(self.points) or _point_sites(self.points)[1].all())
+    def has_duplicate_points(self, nns: NNStructure) -> bool:
+        """True when two points share exact coordinates.  Such points have
+        their NN at squared distance 0 (``dx*dx + dy*dy``, as both searches
+        compute it), so of ``nns``, this set's NN digraph, only the points
+        whose NN lies at distance 0 are sorted into sites."""
+        if nns.nn_index.shape != (self.n,):
+            raise InvalidInputError(f"NN indices of shape {nns.nn_index.shape} for {self.n} points")
+        d = np.take(self.points, nns.nn_index, axis=0)  # faster than fancy indexing
+        d -= self.points
+        d *= d
+        zero = np.flatnonzero(d[:, 0] + d[:, 1] == 0)
+        return zero.size > 0 and not _point_sites(self.points[zero])[1].all()
 
 
 @dataclass(frozen=True)
@@ -279,40 +286,20 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
     return zero
 
 
-def _nn_sites(coords: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the lowest-index NN of every point of one
-    ``(n, 2)`` set, by the rules of ``_nn_brute``, searched over its sites.
-
-    Members of a site sit at squared distance 0 from each other, so a
-    point whose site has several members takes the lowest-index other
-    member, unless another site also lies at squared distance 0 (possible
-    only through underflow), in which case the lower index of the two wins.
-    Every other point takes the winner among the other sites.
-    """
-    n = coords.shape[0]
-    order, starts = _point_sites(coords)
-    first = np.flatnonzero(starts)  # sorted position of each site's first member
-    lowest = order[first]
-    winner = np.empty(first.size, dtype=np.intp)
-    zero = _nearest_other_site(coords[lowest], _SITE_K0, winner, lowest)
-    # everything below runs over the points in sorted order
-    site = np.cumsum(starts) - 1
-    shared = np.diff(first, append=n)[site] > 1
-    z, w = zero[site], winner[site]
-    # a site's first member takes the next one; every later member the first
-    own = np.where(starts, np.roll(order, -1), lowest[site])
-    out[order] = np.where(shared & (~z | (own < w)), own, w)
-
-
 def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     """kd-tree nearest neighbor indices of one ``(n, 2)`` set or of each set
     of an ``(..., n, 2)`` stack, by the lowest-index rule of ``_nn_brute``,
     from the one search ``_nearest_other_site``.  Points with distinct
     x-coordinates cannot coincide, so each is its own site, with k = 3
     candidates at first: itself, its NN and one that must lie farther.  Any
-    other set is searched over its sites by ``_nn_sites``.  scipy is
-    imported by the search only, so that importing the package and brute
-    force searches never load it.
+    other set is grouped into sites by ``_point_sites`` and searched over
+    them from k = ``_SITE_K0``.  Members of a site sit at squared distance 0
+    from each other, so a point whose site has several members takes the
+    lowest-index other member, unless another site also lies at squared
+    distance 0 (possible only through underflow), in which case the lower
+    index of the two wins.  Every other point takes the winner among the
+    other sites.  scipy is imported by the search only, so that importing
+    the package and brute force searches never load it.
     """
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
@@ -320,8 +307,19 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
     for c, out in zip(flat, nn):
         if _distinct_x(c):
             _nearest_other_site(c, 3, out)
-        else:
-            _nn_sites(c, out)
+            continue
+        order, starts = _point_sites(c)
+        first = np.flatnonzero(starts)  # sorted position of each site's first member
+        lowest = order[first]
+        winner = np.empty(first.size, dtype=np.intp)
+        zero = _nearest_other_site(c[lowest], _SITE_K0, winner, lowest)
+        # everything below runs over the points in sorted order
+        site = np.cumsum(starts) - 1
+        shared = np.diff(first, append=n)[site] > 1
+        z, w = zero[site], winner[site]
+        # a site's first member takes the next one; every later member the first
+        own = np.where(starts, np.roll(order, -1), lowest[site])
+        out[order] = np.where(shared & (~z | (own < w)), own, w)
     return nn.reshape(coords.shape[:-1])
 
 

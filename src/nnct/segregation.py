@@ -167,6 +167,8 @@ def _statistic_only(flavor, counts, sigma):
 
 
 def _single(flavor, nnct, cov_model):
+    if tuple(cov_model.expected.sum(axis=1)) != nnct.row_sums:  # expected rows sum exactly
+        raise InvalidInputError("the model's class sizes differ from the table's row sums")
     stat = float(_statistic_only(flavor, nnct.counts[None], cov_model.sigma_full)[0])
     if np.isnan(stat):
         raise DegenerateTestError(

@@ -19,7 +19,7 @@ from nnct import (
     estimate_qr,
     ingest,
 )
-from nnct import cli, montecarlo
+from nnct import cli, geometry, montecarlo
 from nnct.cli import build_parser, main
 from nnct.report import AnalysisReport
 
@@ -207,6 +207,29 @@ class TestAnalyze:
         )
         doc = self.run_json(capsys, path)
         assert doc["input"]["duplicate_points"] is True
+
+    @pytest.mark.parametrize("twins, calls", [(False, 1), (True, 2)])
+    def test_a_grid_is_sorted_into_sites_once(self, tmp_path, capsys, monkeypatch,
+                                              twins, calls):
+        # the search groups the set into sites; the duplicate flag groups
+        # only points whose NN lies at distance 0, which a grid has none of
+        sorts = []
+        point_sites = geometry._point_sites
+
+        def spy(coords):
+            sorts.append(len(coords))
+            return point_sites(coords)
+
+        monkeypatch.setattr(geometry, "_point_sites", spy)
+        cell = np.random.default_rng(22).permutation(40000)
+        if twins:
+            cell[-1] = cell[0]
+        rows = "".join(f"{c // 200},{c % 200},{'ab'[c % 2]}\n" for c in cell.tolist())
+        doc = self.run_json(capsys, write(tmp_path, "x,y,label\n" + rows))
+        assert doc["input"]["duplicate_points"] is twins
+        assert sorts[0] == 40000 and len(sorts) == calls
+        if twins:
+            assert sorts[1] == 2  # the twins alone
 
     def test_sided_flag(self, capsys):
         two = self.run_json(capsys, FIXTURE, "--cells")

@@ -31,6 +31,11 @@ def search_nn(search, p):
     return structure_from_nn_index(search(p.points))
 
 
+def duplicate_flag(coords):
+    p = pts(coords)
+    return p.has_duplicate_points(compute_nn(p))
+
+
 @pytest.mark.parametrize("search", [_nn_brute, _nn_kdtree], ids=["brute", "kdtree"])
 class TestHandEnumerated:
     def test_three_point_line(self, search):
@@ -58,7 +63,7 @@ class TestHandEnumerated:
         # coincident points pick the lowest-index duplicate
         assert nns.nn_index.tolist() == [1, 0, 0, 0]
         assert nns.R == 2
-        assert p.has_duplicate_points()
+        assert p.has_duplicate_points(nns)
 
 
 class TestValidation:
@@ -300,8 +305,8 @@ class TestTieRepair:
         assert sizes and max(sizes) <= 2
 
     def test_duplicate_flag(self):
-        assert not pts([(0, 0), (1, 0), (0, 1)]).has_duplicate_points()
-        assert pts([(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)]).has_duplicate_points()
+        assert not duplicate_flag([(0, 0), (1, 0), (0, 1)])
+        assert duplicate_flag([(0.0, 1.0), (2.0, 2.0), (-0.0, 1.0)])
 
     def test_duplicate_flag_matches_unique_rows(self):
         rng = np.random.default_rng(14)
@@ -320,7 +325,7 @@ class TestTieRepair:
             sets.append(c)
         for c in sets:
             expected = len(np.unique(c, axis=0)) < len(c)
-            assert pts(c).has_duplicate_points() == expected
+            assert duplicate_flag(c) == expected
 
 
 @st.composite
@@ -330,6 +335,59 @@ def signed_zero_sets(draw):
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300])
     xy = draw(st.lists(st.tuples(values, values), min_size=1, max_size=60))
     return np.array(xy, dtype=float)
+
+
+@st.composite
+def signed_zero_sets_among_random_points(draw):
+    """A set of ``signed_zero_sets`` among distinct random points on
+    [2, 3)^2, in random order, with at most or more than
+    ``_BRUTE_FORCE_MAX`` points in all, so that either search finds its NN."""
+    coords = draw(signed_zero_sets())
+    size = _BRUTE_FORCE_MAX + 1 if draw(st.booleans()) else 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(0, 30)) + max(0, size - len(coords))
+    coords = np.vstack([coords, 2.0 + rng.random((extra, 2))])
+    return coords[rng.permutation(len(coords))]
+
+
+@pytest.mark.parametrize("search", [_nn_brute, _nn_kdtree], ids=["brute", "kdtree"])
+class TestDuplicateFlag:
+    """The flag groups only the points whose NN lies at squared distance 0."""
+
+    def test_twins_whose_nn_is_a_lower_index_underflow(self, search):
+        p = pts([(0.0, 0.0), (1e-300, 0.0), (1e-300, 0.0), (5.0, 5.0)])
+        nns = search_nn(search, p)
+        assert nns.nn_index.tolist() == [1, 0, 0, 0]  # neither twin's NN is its twin
+        assert p.has_duplicate_points(nns)
+
+    def test_an_underflow_pair_without_twins(self, search):
+        p = pts([(0.0, 0.0), (1e-300, 0.0), (5.0, 5.0)])
+        nns = search_nn(search, p)
+        assert nns.nn_index.tolist() == [1, 0, 0]
+        assert not p.has_duplicate_points(nns)
+
+    def test_a_structure_of_another_size_is_refused(self, search):
+        p = pts([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
+        for q in (pts([(0.0, 0.0), (1.0, 0.0)]), pts(np.zeros((4, 2)))):
+            with pytest.raises(InvalidInputError, match="NN indices"):
+                p.has_duplicate_points(search_nn(search, q))
+
+
+class TestDuplicateFlagSets:
+    @settings(max_examples=150, deadline=None)
+    @given(signed_zero_sets_among_random_points())
+    def test_flag_is_whether_rows_repeat(self, coords):
+        assert duplicate_flag(coords) == (len(np.unique(coords, axis=0)) < len(coords))
+
+    @pytest.mark.parametrize("n, decimals", [(200, 2), (20000, 6)])
+    def test_rounded_sets_with_and_without_a_planted_pair(self, n, decimals):
+        rng = np.random.default_rng(n)
+        c = np.round(rng.random((n, 2)), decimals)
+        c = c[np.sort(np.unique(c, axis=0, return_index=True)[1])]
+        assert len(np.unique(c[:, 0])) < len(c)  # repeated x, no two points coincide
+        assert not duplicate_flag(c)
+        c[-1] = c[len(c) // 3]
+        assert duplicate_flag(c)
 
 
 class TestPointSites:

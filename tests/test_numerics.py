@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nnct import InvalidInputError, chi2_sf, generalized_inverse, normal_sf
+from nnct import InvalidInputError, chi2_sf, normal_sf
+from nnct.numerics import generalized_inverse
 
 
 class TestGeneralizedInverse:

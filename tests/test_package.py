@@ -55,3 +55,24 @@ def test_import_loads_no_numpy_random_beyond_numpy():
     out = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_benchmark_binding_resolves():
+    # the benchmark tracer (bench/tracing.py) times the package's layers by
+    # name; a renamed or moved layer would silently drop out of its metrics
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", SRC.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.Tracer().unmeasured == []
+
+
+def test_generalized_inverse_is_not_exported():
+    import nnct
+    from nnct.numerics import generalized_inverse
+
+    assert "generalized_inverse" not in nnct.__all__
+    assert not hasattr(nnct, "generalized_inverse")
+    assert callable(generalized_inverse)

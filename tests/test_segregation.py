@@ -23,7 +23,6 @@ from nnct import (
     covariance_model,
     dixon_overall,
     expected_counts,
-    generalized_inverse,
     permutation_pvalue,
     run_battery,
     run_battery_from_table,
@@ -34,6 +33,7 @@ from nnct import (
 from nnct import segregation
 from nnct.contingency import cell_covariance, tabulate_pairs
 from nnct.montecarlo import _STREAM_PERM
+from nnct.numerics import generalized_inverse
 from nnct.segregation import (
     CELL_FLAVORS,
     OVERALL_FLAVORS,
@@ -326,6 +326,17 @@ class TestKernel:
         mixed = np.array([[[6, 4], [3, 7]], [[5, 6], [4, 5]]])  # row sums differ
         with pytest.raises(InvalidInputError):
             _statistic_only("dixon_overall", mixed, sigmas[0])
+
+    @pytest.mark.parametrize("test", [dixon_overall, version_I, version_II, version_III,
+                                      lambda t, m: cell_specific_test(t, m, 1, 1)],
+                             ids=["dixon", "I", "II", "III", "cell_11"])
+    def test_a_model_of_other_margins_is_refused(self, test):
+        table = ContingencyTable(np.array([[35, 25], [20, 20]]))  # rows (60, 40)
+        assert np.isfinite(test(table, covariance_model(60, 40, 100, 63, 62)).statistic)
+        for model in (covariance_model(50, 50, 100, 63, 62),
+                      covariance_model(60, 41, 101, 63, 62)):
+            with pytest.raises(InvalidInputError, match="row sums"):
+                test(table, model)
 
 
 def spectral_form(flavor, counts, sigma):
