@@ -69,11 +69,16 @@ def tabulate_pairs(labels: np.ndarray, nn_index: np.ndarray) -> np.ndarray:
     stack of digraphs sharing one labeling; either gives a ``(..., 2, 2)``
     stack of tables.
     """
-    base1 = np.asarray(labels) == 1
-    nn1 = base1[..., nn_index]
+    base1 = np.asarray(labels)
+    if base1.dtype != bool:
+        base1 = base1 == 1
+    # a contiguous gather: the sums and the AND below run faster on it
+    nn1 = np.take(base1, nn_index, axis=-1)
     n1 = base1.sum(axis=-1)
-    n11 = (base1 & nn1).sum(axis=-1)
-    n21 = nn1.sum(axis=-1) - n11
+    c1 = nn1.sum(axis=-1)
+    nn1 &= base1
+    n11 = nn1.sum(axis=-1)
+    n21 = c1 - n11
     table = np.empty(n11.shape + (2, 2), dtype=np.int64)
     table[..., 0, 0] = n11
     table[..., 0, 1] = n1 - n11

@@ -170,7 +170,7 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # x + iy, one stable sort gives the (x, y) order of a two-key lexsort
     xy = np.ascontiguousarray(coords, dtype=np.float64).view(np.complex128)
     order = np.argsort(xy[:, 0], kind="stable")
-    ordered = coords[order]
+    ordered = np.take(coords, order, axis=0)  # faster than fancy indexing
     starts = np.empty(order.shape[0], dtype=bool)
     starts[0] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
@@ -178,9 +178,10 @@ def _point_sites(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _search_cpus() -> int:
-    """CPUs over which the kd-tree search shares a round's blocks: those
-    this process may run on, or 1 in a ``multiprocessing`` child, whose
-    sibling processes (``--workers``) already fill them."""
+    """CPUs over which the kd-tree search shares a round's blocks and a
+    permutation p-value its blocks: those this process may run on, or 1 in
+    a ``multiprocessing`` child, whose sibling processes (``--workers``)
+    already fill them."""
     # a child has imported multiprocessing; any other process need not
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
@@ -190,31 +191,83 @@ def _search_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shared(fn, items: range, cpus: int) -> list:
-    """``[fn(x) for x in items]``, run by the calling thread and up to
-    ``cpus - 1`` helper threads, each taking the next item left."""
+def _shared(fn, items, cpus: int, ahead: int | None = None):
+    """Yield ``fn(x)`` for each ``x`` of the iterable ``items``, in order.
+
+    With ``cpus > 1`` the calling thread and ``cpus - 1`` helper threads,
+    started once per call, compute them, each taking the next item left
+    (``items`` is read under a lock); the caller computes items while it
+    waits for a result, and raises a helper's exception.  With ``ahead``,
+    item ``j`` starts only once the caller has asked for item
+    ``j - ahead + 1``, that is, once it is done with item ``j - ahead``, so
+    that items can write into ``ahead`` buffers in turn.
+    """
+    if cpus <= 1:
+        yield from map(fn, items)
+        return
     import threading
-    from concurrent.futures import ThreadPoolExecutor
 
-    out = [None] * len(items)
-    left = iter(range(len(items)))
-    lock = threading.Lock()
+    source = iter(items)
+    end = object()
+    cond = threading.Condition()
+    results, failures = {}, []
+    taken = wanted = 0  # items started; the item the caller waits for or uses
+    exhausted = stop = False
 
-    def work():
+    def work(i=None):
+        """Compute items until item ``i`` has its result, and return it
+        (``end`` if there is none); a helper (no ``i``) until none is left."""
+        nonlocal taken, wanted, exhausted
         while True:
-            with lock:
-                i = next(left, None)
-            if i is None:
-                return
-            out[i] = fn(items[i])
+            with cond:
+                if i is not None:
+                    wanted = i
+                    cond.notify_all()
+                while True:
+                    if i in results:
+                        return results.pop(i)
+                    if stop or (exhausted and (i is None or i >= taken)):
+                        return end
+                    if exhausted or (ahead is not None and taken >= wanted + ahead):
+                        cond.wait()
+                        continue
+                    x = next(source, end)
+                    if x is not end:
+                        break
+                    exhausted = True
+                j = taken
+                taken += 1
+            value = fn(x)
+            with cond:
+                results[j] = value
+                cond.notify_all()
 
-    helpers = min(cpus, len(items)) - 1
-    with ThreadPoolExecutor(helpers) as pool:
-        running = [pool.submit(work) for _ in range(helpers)]
-        work()
-        for r in running:
-            r.result()
-    return out
+    def helper():
+        nonlocal stop
+        try:
+            work()
+        except BaseException as e:  # handed to the caller, which raises it
+            with cond:
+                failures.append(e)
+                stop = True
+                cond.notify_all()
+
+    helpers = [threading.Thread(target=helper) for _ in range(cpus - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        i = 0
+        while (value := work(i)) is not end:
+            yield value
+            i += 1
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[0]
 
 
 def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
@@ -245,7 +298,7 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
 
     def resolve(q, k):
         """Answer the sites ``q`` from ``k`` candidates; return those left open."""
-        dist, cand = tree.query(site_xy[q], k=k)
+        dist, cand = tree.query(np.take(site_xy, q, axis=0), k=k)
         cand = cand.reshape(q.size, k)
         ids = cand if lowest is None else lowest[cand]
         if k > 2:
@@ -276,12 +329,9 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
         block = max(1, _SITE_BLOCK_ENTRIES // k)
         cpus = _search_cpus() if todo.size > block else 1
         block = max(1, _SITE_BLOCK_ENTRIES // (k * cpus))
-        starts = range(0, todo.size, block)
-        if cpus == 1:
-            unresolved = [resolve(todo[start:start + block], k) for start in starts]
-        else:
-            unresolved = _shared(lambda start: resolve(todo[start:start + block], k), starts, cpus)
-        todo = np.concatenate(unresolved)
+        unresolved = _shared(lambda start: resolve(todo[start:start + block], k),
+                             range(0, todo.size, block), cpus)
+        todo = np.concatenate(list(unresolved))
         k = min(ns, 4 * k)
     return zero
 
@@ -312,7 +362,7 @@ def _nn_kdtree(coords: np.ndarray) -> np.ndarray:
         first = np.flatnonzero(starts)  # sorted position of each site's first member
         lowest = order[first]
         winner = np.empty(first.size, dtype=np.intp)
-        zero = _nearest_other_site(c[lowest], _SITE_K0, winner, lowest)
+        zero = _nearest_other_site(np.take(c, lowest, axis=0), _SITE_K0, winner, lowest)
         # everything below runs over the points in sorted order
         site = np.cumsum(starts) - 1
         shared = np.diff(first, append=n)[site] > 1

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .contingency import (
     ContingencyTable,
     CovarianceModel,
@@ -317,15 +318,24 @@ def permutation_pvalue(
     rows at a time.  numpy shuffles 8-byte items on its fastest path and
     draws the same permutations at every item size, so neither the item
     type nor the sub-blocks change a p-value.
+
+    A run over more than 128 points (where a block takes several
+    ``permuted`` calls) and of more than one tabulation batch
+    (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
+    and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
+    GIL) each draw whole blocks, into one of ``cpus`` buffers of 64 boolean
+    rows (64 bytes per point each), and the calling thread tabulates and
+    scores them in block order, so no p-value depends on the thread count.
     """
     from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
 
     n_perm = check_count(n_perm, "n_perm", 99)
     seed = check_seed(seed)
     n1, n2 = pts.class_sizes
+    n = pts.n
     nns = compute_nn(pts)
     nnct = build_nnct(pts, nns)
-    sigma = cell_covariance(n1, n2, pts.n, nns.Q, nns.R)
+    sigma = cell_covariance(n1, n2, n, nns.Q, nns.R)
 
     def extremeness(counts):
         stats = _statistic_only(flavor, counts, sigma)
@@ -336,23 +346,47 @@ def permutation_pvalue(
         raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
     class1 = (pts.labels == 1).astype(float)
-    rows = max(1, _PERM_BLOCK_ENTRIES // pts.n)
-    draw_rows = max(1, _PERM_DRAW_ENTRIES // pts.n)
-    block = np.empty((min(rows, _PERM_BLOCK), pts.n), dtype=bool)
-    at_least = scored = 0
+    rows = max(1, _PERM_BLOCK_ENTRIES // n)
+    draw_rows = max(1, _PERM_DRAW_ENTRIES // n)
+    blocks = -(-n_perm // _PERM_BLOCK)
+    # sharing costs ~0.1-0.2 ms per call (thread start, GIL handoffs; 2 vCPUs):
+    # it lost where a block is one permuted call, and on runs of up to about
+    # 2*10^5 labels (n_perm * n), so a run of one tabulation batch stays serial
+    serial = draw_rows >= _PERM_BLOCK or n_perm <= rows
+    cpus = 1 if serial else min(geometry._search_cpus(), blocks)
+    # a thread draws whole blocks, so no two share a generator; a lone
+    # thread draws `rows` rows at a time
+    step = _PERM_BLOCK if cpus > 1 else min(rows, _PERM_BLOCK)
+    labels = np.empty((cpus, step, n), dtype=bool)
+    drawn = np.empty((cpus, min(draw_rows, step), n))
+
+    def jobs():
+        """(rng, count) of each run of permutations one ``draw`` takes."""
+        streams = _streams((seed, _STREAM_PERM), 0, blocks)
+        for start, rng in zip(range(0, n_perm, _PERM_BLOCK), streams):
+            stop = min(start + _PERM_BLOCK, n_perm)
+            for lo in range(start, stop, step):
+                yield rng, min(step, stop - lo)
+
+    def draw(job):
+        """Job ``i``'s permuted labelings, drawn into buffer ``i % cpus``."""
+        i, (rng, count) = job
+        out = labels[i % cpus, :count]
+        for d in range(0, count, draw_rows):
+            part = drawn[i % cpus, :min(draw_rows, count - d)]
+            rng.permuted(np.broadcast_to(class1, part.shape), axis=1, out=part)
+            np.equal(part, 1, out=out[d:d + len(part)])
+        return out
+
+    at_least = done = scored = 0
     tables = []
-    streams = _streams((seed, _STREAM_PERM), 0, -(-n_perm // _PERM_BLOCK))
-    for start, rng in zip(range(0, n_perm, _PERM_BLOCK), streams):
-        stop = min(start + _PERM_BLOCK, n_perm)
-        for lo in range(start, stop, rows):
-            labels = block[:min(rows, stop - lo)]
-            for d in range(0, len(labels), draw_rows):
-                part = labels[d:d + draw_rows]
-                np.equal(rng.permuted(np.broadcast_to(class1, part.shape), axis=1), 1, out=part)
-            tables.append(tabulate_pairs(labels, nns.nn_index))
-        # score about `rows` tables at a time; NaN compares False
-        if stop - scored >= rows or stop == n_perm:
-            stats = extremeness(np.concatenate(tables))
-            at_least += int(np.count_nonzero(stats >= threshold))
-            tables, scored = [], stop
+    for permuted in geometry._shared(draw, enumerate(jobs()), cpus, ahead=cpus):
+        for lo in range(0, len(permuted), rows):
+            tables.append(tabulate_pairs(permuted[lo:lo + rows], nns.nn_index))
+            done += len(tables[-1])
+            # score about `rows` tables at a time; NaN compares False
+            if done - scored >= rows or done == n_perm:
+                stats = extremeness(np.concatenate(tables))
+                at_least += int(np.count_nonzero(stats >= threshold))
+                tables, scored = [], done
     return (1 + at_least) / (1 + n_perm)

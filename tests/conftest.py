@@ -27,6 +27,22 @@ def artificial_table():
     return ContingencyTable.from_counts(ARTI_COUNTS)
 
 
+@pytest.fixture
+def helper_threads(monkeypatch) -> list:
+    """The helper threads started during the test, one entry each."""
+    import threading
+
+    made = []
+
+    class Spy(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return made
+
+
 @pytest.fixture(scope="session")
 def artificial_points() -> LabeledPointSet:
     """100-point two-class configuration whose NNCT is [[30,20],[19,31]]

@@ -579,28 +579,14 @@ class TestSplitRounds:
             assert sum(rows[3]) == len(coords) and max(rows[3]) == self.BLOCK // cpus
             assert len(rows[12]) > cpus and max(rows[12]) == 3 * self.BLOCK // (12 * cpus)
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        import concurrent.futures
-
-        made = []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-        return made
-
-    def test_a_pool_only_for_rounds_of_several_blocks(self, small_blocks, pools):
+    def test_a_pool_only_for_rounds_of_several_blocks(self, small_blocks, helper_threads):
         small_blocks(2)
         coords = np.random.default_rng(18).random((self.BLOCK, 2))
         assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
-        assert pools == []  # one block
+        assert helper_threads == []  # one block
         coords = np.random.default_rng(18).random((self.BLOCK + 1, 2))
         assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
-        assert pools == [(1,)]  # one helper beside the calling thread
+        assert len(helper_threads) == 1  # one helper beside the calling thread
 
     def test_cpu_count(self, monkeypatch):
         import multiprocessing
@@ -613,7 +599,7 @@ class TestSplitRounds:
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert geometry._search_cpus() == 1
 
-    def test_a_multiprocessing_child_searches_serially(self, monkeypatch, pools):
+    def test_a_multiprocessing_child_searches_serially(self, monkeypatch, helper_threads):
         import multiprocessing
 
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
@@ -621,13 +607,90 @@ class TestSplitRounds:
         monkeypatch.setattr(geometry, "_SITE_BLOCK_ENTRIES", 3 * self.BLOCK)
         coords = np.random.default_rng(19).random((5 * self.BLOCK, 2))
         assert np.array_equal(_nn_kdtree(coords), _nn_brute(coords))
-        assert pools == []
+        assert helper_threads == []
 
     def test_a_real_child_process_counts_one_cpu(self):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(1) as pool:
             assert pool.submit(geometry._search_cpus).result() == 1
+
+
+class TestShared:
+    """``_shared`` yields every result in item order; with ``ahead`` no item
+    starts before the caller is done with the one ``ahead`` items back."""
+
+    @staticmethod
+    def bounded(call):
+        """``call()``'s outcome, from a thread given 60 s to finish it."""
+        import threading
+
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(call())
+            except BaseException as e:
+                outcome.append(e)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(outcome) == 1
+        return outcome[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ahead", [None, 1, 2, 3])
+    def test_results_in_order_and_buffers_reused_only_when_free(self, cpus, ahead):
+        import sys
+        import time
+
+        slots = np.full(ahead or 200, -1)
+
+        def fn(x):
+            time.sleep(0)
+            slots[x % slots.size] = x
+            return x
+
+        def consume():
+            got, stale = [], []
+            for x in geometry._shared(fn, iter(range(200)), cpus, ahead):
+                time.sleep(0)
+                if slots[x % slots.size] != x:  # overwritten before use
+                    stale.append(x)
+                got.append(x)
+            return got, stale
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self.bounded(consume) == (list(range(200)), [])
+        finally:
+            sys.setswitchinterval(interval)
+        assert self.bounded(lambda: list(geometry._shared(fn, [], cpus, ahead))) == []
+
+    @pytest.mark.parametrize("bad", [0, 5, 39])
+    def test_a_failure_reaches_the_caller_and_stops_the_helpers(self, helper_threads, bad):
+        def fn(x):
+            if x == bad:
+                raise ValueError(x)
+            return x
+
+        failure = self.bounded(lambda: list(geometry._shared(fn, range(40), 3, 2)))
+        assert isinstance(failure, ValueError) and failure.args == (bad,)
+        helpers = helper_threads[1:]  # the first is the bounded caller
+        assert len(helpers) == 2 and not any(t.is_alive() for t in helpers)
+
+    def test_a_caller_that_stops_early_stops_the_helpers(self, helper_threads):
+        def first_then_close():
+            results = geometry._shared(lambda x: x, range(1000), 4, 4)
+            first = next(results)
+            results.close()
+            return first
+
+        assert self.bounded(first_then_close) == 0
+        helpers = helper_threads[1:]  # the first is the bounded caller
+        assert len(helpers) == 3 and not any(t.is_alive() for t in helpers)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from nnct import (
     version_II,
     version_III,
 )
-from nnct import segregation
+from nnct import geometry, segregation
 from nnct.contingency import cell_covariance, tabulate_pairs
 from nnct.montecarlo import _STREAM_PERM
 from nnct.numerics import generalized_inverse
@@ -447,7 +447,8 @@ def test_permuted_draws_the_same_permutations_at_every_item_size(n, seed):
     """``permutation_pvalue`` shuffles float64 indicators where the stream
     is defined on labels: numpy's ``permuted`` must give the permutations of
     successive ``permutation`` calls for bool, int64 and float64 items, in
-    one 64-row block or in sub-blocks from the same generator."""
+    one 64-row block or in sub-blocks from the same generator, returned or
+    written into ``out``."""
     key = [seed, _STREAM_PERM, 3]
     rng = np.random.default_rng(key)
     order = np.array([rng.permutation(n) for _ in range(64)])
@@ -456,11 +457,17 @@ def test_permuted_draws_the_same_permutations_at_every_item_size(n, seed):
         items = class1.astype(dtype) if dtype is bool else np.arange(n, dtype=dtype)
         expected = class1[order] if dtype is bool else order.astype(dtype)
         for split in ([64], [1, 7, 20, 36]):
-            rng = np.random.default_rng(key)
-            got = np.concatenate([rng.permuted(np.broadcast_to(items, (rows, n)), axis=1)
-                                  for rows in split])
-            assert got.dtype == dtype
-            assert np.array_equal(got, expected), (dtype, split)
+            for into in (None, np.empty((64, n), dtype=dtype)):
+                rng = np.random.default_rng(key)
+                got = []
+                for lo, rows in zip(np.cumsum([0] + split), split):
+                    out = None if into is None else into[lo:lo + rows]
+                    drawn = rng.permuted(np.broadcast_to(items, (rows, n)), axis=1, out=out)
+                    assert out is None or drawn is out
+                    got.append(drawn)
+                got = np.concatenate(got)
+                assert got.dtype == dtype
+                assert np.array_equal(got, expected), (dtype, split, into is None)
 
 
 def hub_and_circle():
@@ -590,6 +597,58 @@ class TestPermutation:
                               np.repeat([1, 2], [n1, n - n1]))
         got = [permutation_pvalue(pts, flavor, 999, 17) for flavor in OVERALL_FLAVORS + CELL_FLAVORS]
         assert got == [k / 1000 for k in golden]
+
+    # n = 129: the first size whose blocks are shared, from 2033 permutations
+    # (one tabulation batch more); 1000: from 263; 5000: from 53, and each
+    # block is tabulated in parts of 52 rows.  130 ends in a 2-permutation block
+    @pytest.mark.parametrize("n, counts", [(129, (99, 130, 999, 1000, 2500)),
+                                           (1000, (99, 130, 999, 1000)),
+                                           (5000, (99, 130, 999, 1000))])
+    def test_pvalues_do_not_depend_on_the_thread_count(self, monkeypatch, helper_threads,
+                                                       n, counts):
+        pts = random_point_set(np.random.default_rng(n), n, n1=n // 3)
+        runs = [(f, m) for f in OVERALL_FLAVORS + CELL_FLAVORS for m in counts]
+        found = {}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
+            found[cpus] = [permutation_pvalue(pts, f, m, 23) for f, m in runs]
+        assert found[2] == found[3] == found[4] == found[1]
+        assert helper_threads  # some runs were shared
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch, helper_threads):
+        """The helper threads started, on 4 CPUs."""
+        monkeypatch.setattr(geometry, "_search_cpus", lambda: 4)
+        return helper_threads
+
+    def test_helpers_start_once_per_call_only_on_shared_runs(self, four_cpus):
+        def run(n, n_perm):
+            p = random_point_set(np.random.default_rng(3), n, n // 3)
+            assert 0 < permutation_pvalue(p, "dixon_overall", n_perm, 1) <= 1
+            started = len(four_cpus)
+            four_cpus.clear()
+            return started
+
+        # up to 128 points a block is one permuted call
+        assert run(128, 2500) == 0
+        # 2032 permutations of 129 labels fill one tabulation batch of 2^18
+        assert run(129, 2032) == 0
+        assert run(129, 2033) == 3
+        # 130 permutations are 3 blocks: a helper for each but the caller's
+        assert run(2100, 130) == 2
+        assert run(2100, 124) == 0
+
+    def test_a_process_pool_child_draws_serially(self, monkeypatch, four_cpus):
+        from concurrent.futures import ProcessPoolExecutor
+
+        p = random_point_set(np.random.default_rng(4), 700, 300)
+        threaded = permutation_pvalue(p, "version_I", 999, 2)
+        assert len(four_cpus) == 3
+        monkeypatch.undo()  # the forked child must count its own CPUs
+        with ProcessPoolExecutor(1) as pool:
+            cpus = pool.submit(geometry._search_cpus).result()
+            child = pool.submit(permutation_pvalue, p, "version_I", 999, 2).result()
+        assert cpus == 1 and child == threaded
 
     @pytest.mark.slow
     def test_artificial_fixture_agrees_with_asymptotic(self, artificial_points):
