@@ -32,6 +32,7 @@ tables at once; the test functions are single-table wrappers around it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -292,60 +293,27 @@ _PERM_DRAW_ENTRIES = 1 << 13
 _TIE_RTOL = 1e-9
 
 
-def permutation_pvalue(
-    pts: LabeledPointSet,
-    flavor: str,
-    n_perm: int,
-    seed: int,
-) -> float:
-    """Random-labeling permutation p-value for one test flavor.
-
-    Labels are permuted uniformly over the fixed point set; the NN digraph,
-    margins, Q and R are all invariant, so only the table (and for tests
-    that use them, the column sums) changes per permutation.  A permutation
-    test is a random-labeling test, so its variances use the set's own Q
-    and R.  Cell flavors are two-sided: extremeness is |Z|.  Returns
-    (1 + #{permuted statistic >= observed}) / (1 + n_perm), where a
-    statistic within a relative 1e-9 below the observed one counts as a tie
-    and a permuted labeling whose statistic is undefined does not count.
-    An undefined observed statistic raises ``DegenerateTestError``.
-
-    Reproducible: permutations 64b .. 64b + 63 are the successive
-    ``permutation`` draws of ``default_rng([seed, 4, b])``.  They are taken
-    with ``Generator.permuted(axis=1)`` on float64 class-1 indicators, in
-    sub-blocks of ``max(1, _PERM_DRAW_ENTRIES // n)`` rows from the same
-    generator, and tabulated as booleans ``max(1, _PERM_BLOCK_ENTRIES // n)``
-    rows at a time.  numpy shuffles 8-byte items on its fastest path and
-    draws the same permutations at every item size, so neither the item
-    type nor the sub-blocks change a p-value.
-
-    A run over more than 128 points (where a block takes several
-    ``permuted`` calls) and of more than one tabulation batch
-    (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
-    and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
-    GIL) each draw whole blocks, into one of ``cpus`` buffers of 64 boolean
-    rows (64 bytes per point each), and the calling thread tabulates and
-    scores them in block order, so no p-value depends on the thread count.
+@lru_cache(maxsize=1)
+def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
+    """The part of a permutation p-value that no flavor changes, for the
+    set whose float64 ``(n, 2)`` coordinates and bool class-1 flags have the
+    bytes ``coords`` and ``flags``: its 4x4 cell-count covariance at its
+    own Q and R, its observed table, and the column-1 counts (N11, N21) of
+    each of the ``n_perm`` permuted tables, as an ``(n_perm, 2)`` int32
+    array (the row sums are the class sizes).  Keyed by content, so a set
+    whose points or labels change in place misses; the last run stays held.
     """
     from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
 
-    n_perm = check_count(n_perm, "n_perm", 99)
-    seed = check_seed(seed)
-    n1, n2 = pts.class_sizes
-    n = pts.n
-    nns = compute_nn(pts)
-    nnct = build_nnct(pts, nns)
-    sigma = cell_covariance(n1, n2, n, nns.Q, nns.R)
-
-    def extremeness(counts):
-        stats = _statistic_only(flavor, counts, sigma)
-        return np.abs(stats) if flavor in CELL_FLAVORS else stats
-
-    observed = extremeness(nnct.counts[None])[0]
-    if np.isnan(observed):
-        raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
-    threshold = observed - _TIE_RTOL * abs(observed)
-    class1 = (pts.labels == 1).astype(float)
+    flags = np.frombuffer(flags, dtype=bool)
+    n = flags.size
+    n1 = int(np.count_nonzero(flags))
+    # the in-degrees are dropped at once: the draw below is the peak
+    nn = geometry._nn_indices(np.frombuffer(coords).reshape(n, 2))
+    q, r = geometry.digraph_q_r(nn)[1:]
+    sigma = cell_covariance(n1, n - n1, n, q, r)
+    observed = tabulate_pairs(flags, nn)
+    class1 = flags.astype(float)
     rows = max(1, _PERM_BLOCK_ENTRIES // n)
     draw_rows = max(1, _PERM_DRAW_ENTRIES // n)
     blocks = -(-n_perm // _PERM_BLOCK)
@@ -378,15 +346,89 @@ def permutation_pvalue(
             np.equal(part, 1, out=out[d:d + len(part)])
         return out
 
-    at_least = done = scored = 0
-    tables = []
+    # the calling thread tabulates the blocks in order
+    col1 = np.empty((n_perm, 2), dtype=np.int32)
+    done = 0
     for permuted in geometry._shared(draw, enumerate(jobs()), cpus, ahead=cpus):
         for lo in range(0, len(permuted), rows):
-            tables.append(tabulate_pairs(permuted[lo:lo + rows], nns.nn_index))
-            done += len(tables[-1])
-            # score about `rows` tables at a time; NaN compares False
-            if done - scored >= rows or done == n_perm:
-                stats = extremeness(np.concatenate(tables))
-                at_least += int(np.count_nonzero(stats >= threshold))
-                tables, scored = [], done
+            tables = tabulate_pairs(permuted[lo:lo + rows], nn)
+            col1[done:done + len(tables)] = tables[:, :, 0]
+            done += len(tables)
+    for a in (sigma, observed, col1):
+        a.flags.writeable = False  # shared by every later call with this key
+    return sigma, observed, col1
+
+
+def permutation_pvalue(
+    pts: LabeledPointSet,
+    flavor: str,
+    n_perm: int,
+    seed: int,
+) -> float:
+    """Random-labeling permutation p-value for one test flavor.
+
+    Labels are permuted uniformly over the fixed point set; the NN digraph,
+    margins, Q and R are all invariant, so only the table (and for tests
+    that use them, the column sums) changes per permutation.  A permutation
+    test is a random-labeling test, so its variances use the set's own Q
+    and R.  Cell flavors are two-sided: extremeness is |Z|.  Returns
+    (1 + #{permuted statistic >= observed}) / (1 + n_perm), where a
+    statistic within a relative 1e-9 below the observed one counts as a tie
+    and a permuted labeling whose statistic is undefined does not count.
+    An undefined observed statistic raises ``DegenerateTestError``.
+
+    Reproducible: permutations 64b .. 64b + 63 are the successive
+    ``permutation`` draws of ``default_rng([seed, 4, b])``.  They are taken
+    with ``Generator.permuted(axis=1)`` on float64 class-1 indicators, in
+    sub-blocks of ``max(1, _PERM_DRAW_ENTRIES // n)`` rows from the same
+    generator, and tabulated as booleans ``max(1, _PERM_BLOCK_ENTRIES // n)``
+    rows at a time.  numpy shuffles 8-byte items on its fastest path and
+    draws the same permutations at every item size, so neither the item
+    type nor the sub-blocks change a p-value.
+
+    A run over more than 128 points (where a block takes several
+    ``permuted`` calls) and of more than one tabulation batch
+    (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
+    and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
+    GIL) each draw whole blocks, into one of ``cpus`` buffers of 64 boolean
+    rows (64 bytes per point each), and the calling thread tabulates them
+    in block order, so no p-value depends on the thread count.
+
+    The permuted tables do not depend on the flavor, so the last run is
+    kept: another flavor on the same coordinates, labels, ``n_perm`` and
+    ``seed`` only scores the stored tables.  Until a call with another of
+    those keys replaces it, the run holds a copy of the coordinates and
+    class-1 flags (17 bytes per point) and two int32 counts per
+    permutation (8 bytes each).
+    """
+    if flavor not in OVERALL_FLAVORS + CELL_FLAVORS:
+        raise InvalidArgumentError(f"unknown test flavor {flavor!r}")
+    n_perm = check_count(n_perm, "n_perm", 99)
+    seed = check_seed(seed)
+    flags = pts.labels == 1
+    n = pts.n
+    n1 = int(np.count_nonzero(flags))
+    if n1 == 0 or n1 == n:
+        raise InvalidInputError(f"both classes need members, got class sizes ({n1}, {n - n1})")
+    sigma, table, col1 = _permutation_run(pts.points.tobytes(), flags.tobytes(), n_perm, seed)
+
+    def extremeness(counts):
+        stats = _statistic_only(flavor, counts, sigma)
+        return np.abs(stats) if flavor in CELL_FLAVORS else stats
+
+    observed = extremeness(table[None])[0]
+    if np.isnan(observed):
+        raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
+    threshold = observed - _TIE_RTOL * abs(observed)
+    # score `rows` tables at a time, rebuilt from the stored column 1 and
+    # the row sums; NaN compares False
+    rows = max(1, _PERM_BLOCK_ENTRIES // n)
+    tables = np.empty((min(rows, n_perm), 2, 2), dtype=np.int64)
+    at_least = 0
+    for lo in range(0, n_perm, rows):
+        part = col1[lo:lo + rows]
+        batch = tables[:len(part)]
+        batch[:, :, 0] = part
+        np.subtract((n1, n - n1), part, out=batch[:, :, 1])
+        at_least += int(np.count_nonzero(extremeness(batch) >= threshold))
     return (1 + at_least) / (1 + n_perm)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnct import ContingencyTable, LabeledPointSet, ingest
+from nnct import ContingencyTable, LabeledPointSet, ingest, segregation
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -15,6 +15,13 @@ SWAMP_Q_ADJ, SWAMP_R_ADJ = 249.68, 244.95
 ARTI_COUNTS = [[30, 20], [19, 31]]
 ARTI_Q, ARTI_R = 70, 60
 ARTI_Q_ADJ, ARTI_R_ADJ = 63.37, 62.17
+
+
+@pytest.fixture(autouse=True)
+def no_stored_permutation_run():
+    """Every test starts without a stored permutation run, so that no
+    p-value is scored on another test's draws."""
+    segregation._permutation_run.cache_clear()
 
 
 @pytest.fixture

@@ -76,3 +76,19 @@ def test_generalized_inverse_is_not_exported():
     assert "generalized_inverse" not in nnct.__all__
     assert not hasattr(nnct, "generalized_inverse")
     assert callable(generalized_inverse)
+
+
+def test_the_stored_permutation_run_is_a_cache_the_benchmark_clears(monkeypatch):
+    # the benchmark worker (bench/worker.py) empties every lru_cache bound in
+    # an nnct module before each iteration, so no iteration reuses a draw
+    import importlib.util
+
+    import nnct.segregation
+
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_worker", SRC.parent / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    run = vars(nnct.segregation)["_permutation_run"]
+    assert callable(run.cache_clear)
+    assert any(cache is run for cache in worker._lru_caches())

@@ -478,7 +478,28 @@ def hub_and_circle():
     return LabeledPointSet(points, np.array([1, 1, 2, 2, 1, 2]))
 
 
+def cold_pvalue(*args):
+    """A permutation p-value from a fresh draw, not from the stored run."""
+    segregation._permutation_run.cache_clear()
+    return permutation_pvalue(*args)
+
+
 class TestPermutation:
+    @pytest.fixture
+    def draws(self, monkeypatch) -> list:
+        """The permutation runs drawn during the test: the arguments of each
+        call for the runs' streams."""
+        from nnct import montecarlo
+
+        made, streams = [], montecarlo._streams
+
+        def spy(*args):
+            made.append(args)
+            return streams(*args)
+
+        monkeypatch.setattr(montecarlo, "_streams", spy)
+        return made
+
     def test_bounds_and_reproducibility(self):
         rng = np.random.default_rng(47)
         p = random_point_set(rng, 30, n1=15)
@@ -495,7 +516,7 @@ class TestPermutation:
         for flavor in OVERALL_FLAVORS:
             assert permutation_pvalue(p, flavor, n_perm=999, seed=3) < 0.01
 
-    def test_validation(self):
+    def test_validation(self, draws):
         rng = np.random.default_rng(59)
         p = random_point_set(rng, 20, n1=10)
         with pytest.raises(InvalidInputError):
@@ -507,6 +528,9 @@ class TestPermutation:
             permutation_pvalue(p, "no_such_test", n_perm=99, seed=1)
         with pytest.raises(InvalidArgumentError):
             permutation_pvalue(p, "dixon_overall", n_perm=999, seed=-1)
+        # each is refused before the run is searched or drawn
+        assert draws == []
+        assert segregation._permutation_run.cache_info().misses == 0
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
     def test_seed_that_is_not_an_integer(self, seed):
@@ -579,11 +603,11 @@ class TestPermutation:
     @pytest.mark.parametrize("flavor", ["dixon_overall", "version_I", "cell_Z_12"])
     def test_pvalue_does_not_depend_on_the_block_entries(self, monkeypatch, entries, flavor):
         pts = random_point_set(np.random.default_rng(61), 40, n1=16)
-        expected = permutation_pvalue(pts, flavor, 999, 9)
+        expected = cold_pvalue(pts, flavor, 999, 9)
         monkeypatch.setattr(segregation, "_PERM_BLOCK_ENTRIES", entries)
         for draw in (40, 7 * 40, 1 << 30):
             monkeypatch.setattr(segregation, "_PERM_DRAW_ENTRIES", draw)
-            assert permutation_pvalue(pts, flavor, 999, 9) == expected, draw
+            assert cold_pvalue(pts, flavor, 999, 9) == expected, draw
 
     # the p-values of the two benchmark-sized CSR sets at seed 17 and 999
     # permutations, as k of k / 1000, in the order OVERALL_FLAVORS + CELL_FLAVORS;
@@ -595,8 +619,11 @@ class TestPermutation:
     def test_golden_pvalues(self, n, n1, golden):
         pts = LabeledPointSet(np.random.default_rng(17).random((n, 2)),
                               np.repeat([1, 2], [n1, n - n1]))
-        got = [permutation_pvalue(pts, flavor, 999, 17) for flavor in OVERALL_FLAVORS + CELL_FLAVORS]
-        assert got == [k / 1000 for k in golden]
+        flavors = OVERALL_FLAVORS + CELL_FLAVORS
+        # every flavor after the first scores the stored run
+        warm = [permutation_pvalue(pts, flavor, 999, 17) for flavor in flavors]
+        cold = [cold_pvalue(pts, flavor, 999, 17) for flavor in flavors]
+        assert warm == cold == [k / 1000 for k in golden]
 
     # n = 129: the first size whose blocks are shared, from 2033 permutations
     # (one tabulation batch more); 1000: from 263; 5000: from 53, and each
@@ -611,7 +638,7 @@ class TestPermutation:
         found = {}
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
-            found[cpus] = [permutation_pvalue(pts, f, m, 23) for f, m in runs]
+            found[cpus] = [cold_pvalue(pts, f, m, 23) for f, m in runs]
         assert found[2] == found[3] == found[4] == found[1]
         assert helper_threads  # some runs were shared
 
@@ -642,13 +669,59 @@ class TestPermutation:
         from concurrent.futures import ProcessPoolExecutor
 
         p = random_point_set(np.random.default_rng(4), 700, 300)
-        threaded = permutation_pvalue(p, "version_I", 999, 2)
+        threaded = cold_pvalue(p, "version_I", 999, 2)
         assert len(four_cpus) == 3
         monkeypatch.undo()  # the forked child must count its own CPUs
+        segregation._permutation_run.cache_clear()  # and draw its own run
         with ProcessPoolExecutor(1) as pool:
             cpus = pool.submit(geometry._search_cpus).result()
             child = pool.submit(permutation_pvalue, p, "version_I", 999, 2).result()
         assert cpus == 1 and child == threaded
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_the_flavors_of_one_run_draw_once(self, draws, n):
+        pts = random_point_set(np.random.default_rng(67), n, n1=n // 3)
+        flavors = OVERALL_FLAVORS + CELL_FLAVORS
+        warm = [permutation_pvalue(pts, flavor, 999, 5) for flavor in flavors]
+        assert len(draws) == 1
+        assert warm == [cold_pvalue(pts, flavor, 999, 5) for flavor in flavors]
+        assert len(draws) == 1 + len(flavors)
+
+    def test_the_run_misses_when_its_key_changes(self, draws):
+        pts = random_point_set(np.random.default_rng(71), 60, n1=20)
+        pvalue = permutation_pvalue(pts, "version_II", 999, 5)
+        moved = pts.points.copy()
+        moved[0] += 1e-9
+        swapped = pts.labels.copy()
+        swapped[[0, -1]] = swapped[[-1, 0]]
+        calls = [(LabeledPointSet(moved, pts.labels), 999, 5),
+                 (LabeledPointSet(pts.points, swapped), 999, 5),
+                 (pts, 1000, 5), (pts, 999, 6)]
+        for args in calls:
+            before = len(draws)
+            got = permutation_pvalue(args[0], "version_II", *args[1:])
+            assert len(draws) == before + 1
+            assert got == cold_pvalue(args[0], "version_II", *args[1:])
+        # the same set, changed in place: a miss each time
+        assert permutation_pvalue(pts, "version_II", 999, 5) == pvalue
+        before = len(draws)
+        pts.points[0] += 1e-9
+        got = permutation_pvalue(pts, "version_II", 999, 5)
+        assert len(draws) == before + 1
+        assert got == cold_pvalue(LabeledPointSet(moved, pts.labels), "version_II", 999, 5)
+        pts.labels[[0, -1]] = pts.labels[[-1, 0]]
+        got = permutation_pvalue(pts, "version_II", 999, 5)
+        assert len(draws) == before + 3
+        assert got == cold_pvalue(LabeledPointSet(moved, swapped), "version_II", 999, 5)
+
+    def test_a_run_on_another_set_replaces_the_last(self, draws):
+        a = random_point_set(np.random.default_rng(73), 50, n1=20)
+        b = random_point_set(np.random.default_rng(79), 50, n1=20)
+        first = permutation_pvalue(a, "cell_Z_21", 999, 5)
+        permutation_pvalue(b, "cell_Z_21", 999, 5)
+        assert segregation._permutation_run.cache_info().currsize == 1
+        assert permutation_pvalue(a, "cell_Z_21", 999, 5) == first
+        assert len(draws) == 3
 
     @pytest.mark.slow
     def test_artificial_fixture_agrees_with_asymptotic(self, artificial_points):
