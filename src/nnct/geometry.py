@@ -23,6 +23,7 @@ identical indices.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -191,83 +192,44 @@ def _search_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shared(fn, items, cpus: int, ahead: int | None = None):
-    """Yield ``fn(x)`` for each ``x`` of the iterable ``items``, in order.
-
-    With ``cpus > 1`` the calling thread and ``cpus - 1`` helper threads,
-    started once per call, compute them, each taking the next item left
-    (``items`` is read under a lock); the caller computes items while it
-    waits for a result, and raises a helper's exception.  With ``ahead``,
-    item ``j`` starts only once the caller has asked for item
-    ``j - ahead + 1``, that is, once it is done with item ``j - ahead``, so
-    that items can write into ``ahead`` buffers in turn.
+def _shared(fn, items, cpus: int) -> list:
+    """``[fn(x) for x in items]``, computed by the calling thread and
+    ``min(cpus, len(items)) - 1`` helper threads started once per call (an
+    iterator without a length hint counts as ``cpus`` items).  Each thread
+    takes the next item left, reading ``items`` lazily under a lock, and
+    stores its result; the first exception stops further takes and is
+    raised once the helpers are joined.
     """
+    cpus = min(cpus, operator.length_hint(items, cpus))
     if cpus <= 1:
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     import threading
 
-    source = iter(items)
-    end = object()
-    cond = threading.Condition()
+    source = enumerate(items)
+    lock = threading.Lock()
     results, failures = {}, []
-    taken = wanted = 0  # items started; the item the caller waits for or uses
-    exhausted = stop = False
 
-    def work(i=None):
-        """Compute items until item ``i`` has its result, and return it
-        (``end`` if there is none); a helper (no ``i``) until none is left."""
-        nonlocal taken, wanted, exhausted
-        while True:
-            with cond:
-                if i is not None:
-                    wanted = i
-                    cond.notify_all()
-                while True:
-                    if i in results:
-                        return results.pop(i)
-                    if stop or (exhausted and (i is None or i >= taken)):
-                        return end
-                    if exhausted or (ahead is not None and taken >= wanted + ahead):
-                        cond.wait()
-                        continue
-                    x = next(source, end)
-                    if x is not end:
-                        break
-                    exhausted = True
-                j = taken
-                taken += 1
-            value = fn(x)
-            with cond:
-                results[j] = value
-                cond.notify_all()
-
-    def helper():
-        nonlocal stop
+    def work():
         try:
-            work()
-        except BaseException as e:  # handed to the caller, which raises it
-            with cond:
+            while True:
+                with lock:
+                    if failures or (item := next(source, None)) is None:
+                        return
+                j, x = item
+                results[j] = fn(x)
+        except BaseException as e:  # raised by the caller after the join
+            with lock:
                 failures.append(e)
-                stop = True
-                cond.notify_all()
 
-    helpers = [threading.Thread(target=helper) for _ in range(cpus - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(cpus - 1)]
     for t in helpers:
         t.start()
-    try:
-        i = 0
-        while (value := work(i)) is not end:
-            yield value
-            i += 1
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for t in helpers:
-            t.join()
+    work()
+    for t in helpers:
+        t.join()
     if failures:
         raise failures[0]
+    return [results[j] for j in range(len(results))]
 
 
 def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
@@ -329,9 +291,8 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
         block = max(1, _SITE_BLOCK_ENTRIES // k)
         cpus = _search_cpus() if todo.size > block else 1
         block = max(1, _SITE_BLOCK_ENTRIES // (k * cpus))
-        unresolved = _shared(lambda start: resolve(todo[start:start + block], k),
-                             range(0, todo.size, block), cpus)
-        todo = np.concatenate(list(unresolved))
+        todo = np.concatenate(_shared(lambda start: resolve(todo[start:start + block], k),
+                                      range(0, todo.size, block), cpus))
         k = min(ns, 4 * k)
     return zero
 

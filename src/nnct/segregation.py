@@ -281,13 +281,18 @@ def run_battery(
 # permutations per random stream: permutations 64b .. 64b + 63 draw from
 # one generator keyed by (seed, montecarlo._STREAM_PERM, b)
 _PERM_BLOCK = 64
-# permuted labelings tabulated and scored at once: the (rows x points)
-# boolean labels stay near 256 kB at any n; no p-value depends on it
+# permuted labelings tabulated at once: the (rows x points) boolean labels
+# stay near 256 kB at any n; no p-value depends on it
 _PERM_BLOCK_ENTRIES = 1 << 18
 # labels shuffled at once: each (rows x points) float64 draw stays near
 # 64 kB up to n = 8192 and is one row above it (256 kB draws ran faster but
 # raised the peak RSS by ~0.4 MB); no p-value depends on it
 _PERM_DRAW_ENTRIES = 1 << 13
+# stored tables scored at once, ~290 bytes of temporaries each: on 99999
+# tables (n = 1000, 2-vCPU Xeon, numpy 2.4) version_I took 32.2, 20.1 and
+# 16.4 ms with 2^10, 2^12 and 2^14 (peaks 0.3, 1.2 and 4.6 MiB) and 28 ms
+# with 2^16; no p-value depends on it
+_PERM_SCORE_TABLES = 1 << 12
 # a permuted statistic within this relative distance below the observed one
 # counts as a tie: equal statistics of different tables can round ulps apart
 _TIE_RTOL = 1e-9
@@ -302,6 +307,11 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
     each of the ``n_perm`` permuted tables, as an ``(n_perm, 2)`` int32
     array (the row sums are the class sizes).  Keyed by content, so a set
     whose points or labels change in place misses; the last run stays held.
+
+    Each 64-permutation block is one job of ``geometry._shared``: it draws
+    its labelings from its own generator and tabulates them into its own
+    rows of the counts, with buffers of its own, so that the counts do not
+    depend on which thread ran which block.
     """
     from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
 
@@ -322,38 +332,25 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
     # 2*10^5 labels (n_perm * n), so a run of one tabulation batch stays serial
     serial = draw_rows >= _PERM_BLOCK or n_perm <= rows
     cpus = 1 if serial else min(geometry._search_cpus(), blocks)
-    # a thread draws whole blocks, so no two share a generator; a lone
-    # thread draws `rows` rows at a time
-    step = _PERM_BLOCK if cpus > 1 else min(rows, _PERM_BLOCK)
-    labels = np.empty((cpus, step, n), dtype=bool)
-    drawn = np.empty((cpus, min(draw_rows, step), n))
-
-    def jobs():
-        """(rng, count) of each run of permutations one ``draw`` takes."""
-        streams = _streams((seed, _STREAM_PERM), 0, blocks)
-        for start, rng in zip(range(0, n_perm, _PERM_BLOCK), streams):
-            stop = min(start + _PERM_BLOCK, n_perm)
-            for lo in range(start, stop, step):
-                yield rng, min(step, stop - lo)
-
-    def draw(job):
-        """Job ``i``'s permuted labelings, drawn into buffer ``i % cpus``."""
-        i, (rng, count) = job
-        out = labels[i % cpus, :count]
-        for d in range(0, count, draw_rows):
-            part = drawn[i % cpus, :min(draw_rows, count - d)]
-            rng.permuted(np.broadcast_to(class1, part.shape), axis=1, out=part)
-            np.equal(part, 1, out=out[d:d + len(part)])
-        return out
-
-    # the calling thread tabulates the blocks in order
     col1 = np.empty((n_perm, 2), dtype=np.int32)
-    done = 0
-    for permuted in geometry._shared(draw, enumerate(jobs()), cpus, ahead=cpus):
-        for lo in range(0, len(permuted), rows):
-            tables = tabulate_pairs(permuted[lo:lo + rows], nn)
-            col1[done:done + len(tables)] = tables[:, :, 0]
-            done += len(tables)
+
+    def block(job):
+        """Draw the permutations of the block starting at ``lo`` from its
+        generator and tabulate them into their rows of ``col1``."""
+        lo, rng = job
+        stop = min(lo + _PERM_BLOCK, n_perm)
+        labels = np.empty((min(rows, stop - lo), n), dtype=bool)
+        drawn = np.empty((min(draw_rows, stop - lo), n))
+        for start in range(lo, stop, rows):
+            part = labels[:min(rows, stop - start)]
+            for d in range(0, len(part), draw_rows):
+                out = drawn[:min(draw_rows, len(part) - d)]
+                rng.permuted(np.broadcast_to(class1, out.shape), axis=1, out=out)
+                np.equal(out, 1, out=part[d:d + len(out)])
+            col1[start:start + len(part)] = tabulate_pairs(part, nn)[:, :, 0]
+
+    streams = _streams((seed, _STREAM_PERM), 0, blocks)
+    geometry._shared(block, zip(range(0, n_perm, _PERM_BLOCK), streams), cpus)
     for a in (sigma, observed, col1):
         a.flags.writeable = False  # shared by every later call with this key
     return sigma, observed, col1
@@ -390,16 +387,16 @@ def permutation_pvalue(
     ``permuted`` calls) and of more than one tabulation batch
     (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
     and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
-    GIL) each draw whole blocks, into one of ``cpus`` buffers of 64 boolean
-    rows (64 bytes per point each), and the calling thread tabulates them
-    in block order, so no p-value depends on the thread count.
+    GIL) each draw and tabulate whole blocks into the blocks' own rows of
+    the stored counts.  So no p-value depends on the thread count, and each
+    thread holds one tabulation batch and one draw sub-block at a time.
 
     The permuted tables do not depend on the flavor, so the last run is
     kept: another flavor on the same coordinates, labels, ``n_perm`` and
-    ``seed`` only scores the stored tables.  Until a call with another of
-    those keys replaces it, the run holds a copy of the coordinates and
-    class-1 flags (17 bytes per point) and two int32 counts per
-    permutation (8 bytes each).
+    ``seed`` only scores the stored tables, ``_PERM_SCORE_TABLES`` at a
+    time.  Until a call with another of those keys replaces it, the run
+    holds a copy of the coordinates and class-1 flags (17 bytes per point)
+    and two int32 counts per permutation (8 bytes each).
     """
     if flavor not in OVERALL_FLAVORS + CELL_FLAVORS:
         raise InvalidArgumentError(f"unknown test flavor {flavor!r}")
@@ -420,9 +417,9 @@ def permutation_pvalue(
     if np.isnan(observed):
         raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
-    # score `rows` tables at a time, rebuilt from the stored column 1 and
-    # the row sums; NaN compares False
-    rows = max(1, _PERM_BLOCK_ENTRIES // n)
+    # score the tables in slices, rebuilt from the stored column 1 and the
+    # row sums; NaN compares False
+    rows = _PERM_SCORE_TABLES
     tables = np.empty((min(rows, n_perm), 2, 2), dtype=np.int64)
     at_least = 0
     for lo in range(0, n_perm, rows):

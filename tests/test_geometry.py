@@ -617,8 +617,8 @@ class TestSplitRounds:
 
 
 class TestShared:
-    """``_shared`` yields every result in item order; with ``ahead`` no item
-    starts before the caller is done with the one ``ahead`` items back."""
+    """``_shared`` returns ``[fn(x) for x in items]``, computed by the
+    calling thread and ``min(cpus, len(items)) - 1`` helpers."""
 
     @staticmethod
     def bounded(call):
@@ -639,35 +639,35 @@ class TestShared:
         assert not caller.is_alive() and len(outcome) == 1
         return outcome[0]
 
+    # a sized range, an iterator with a length hint, a generator without one
+    ITEMS = {"range": lambda m: range(m), "iterator": lambda m: iter(range(m)),
+             "generator": lambda m: (x for x in range(m))}
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    @pytest.mark.parametrize("ahead", [None, 1, 2, 3])
-    def test_results_in_order_and_buffers_reused_only_when_free(self, cpus, ahead):
+    @pytest.mark.parametrize("items", ITEMS)
+    def test_results_in_item_order(self, items, cpus):
         import sys
         import time
 
-        slots = np.full(ahead or 200, -1)
-
         def fn(x):
             time.sleep(0)
-            slots[x % slots.size] = x
-            return x
-
-        def consume():
-            got, stale = [], []
-            for x in geometry._shared(fn, iter(range(200)), cpus, ahead):
-                time.sleep(0)
-                if slots[x % slots.size] != x:  # overwritten before use
-                    stale.append(x)
-                got.append(x)
-            return got, stale
+            return 2 * x
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert self.bounded(consume) == (list(range(200)), [])
+            got = self.bounded(lambda: geometry._shared(fn, self.ITEMS[items](200), cpus))
         finally:
             sys.setswitchinterval(interval)
-        assert self.bounded(lambda: list(geometry._shared(fn, [], cpus, ahead))) == []
+        assert got == list(range(0, 400, 2))
+        assert self.bounded(lambda: geometry._shared(fn, self.ITEMS[items](0), cpus)) == []
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_fewer_items_than_cpus_start_fewer_helpers(self, helper_threads, cpus):
+        for m in range(cpus + 2):
+            assert geometry._shared(lambda x: x, list(range(m)), cpus) == list(range(m))
+            assert len(helper_threads) == max(0, min(cpus, m) - 1), m
+            helper_threads.clear()
 
     @pytest.mark.parametrize("bad", [0, 5, 39])
     def test_a_failure_reaches_the_caller_and_stops_the_helpers(self, helper_threads, bad):
@@ -676,21 +676,34 @@ class TestShared:
                 raise ValueError(x)
             return x
 
-        failure = self.bounded(lambda: list(geometry._shared(fn, range(40), 3, 2)))
+        failure = self.bounded(lambda: geometry._shared(fn, range(40), 3))
         assert isinstance(failure, ValueError) and failure.args == (bad,)
         helpers = helper_threads[1:]  # the first is the bounded caller
         assert len(helpers) == 2 and not any(t.is_alive() for t in helpers)
 
-    def test_a_caller_that_stops_early_stops_the_helpers(self, helper_threads):
-        def first_then_close():
-            results = geometry._shared(lambda x: x, range(1000), 4, 4)
-            first = next(results)
-            results.close()
-            return first
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_items_are_taken_lazily(self, cpus):
+        import threading
+        import time
 
-        assert self.bounded(first_then_close) == 0
-        helpers = helper_threads[1:]  # the first is the bounded caller
-        assert len(helpers) == 3 and not any(t.is_alive() for t in helpers)
+        lock = threading.Lock()
+        taken, done, held = [], [], []
+
+        def items():
+            for x in range(100):
+                taken.append(x)
+                yield x
+
+        def fn(x):
+            time.sleep(0.001)  # the other threads take theirs meanwhile
+            with lock:
+                # items taken whose results are not stored yet
+                held.append(len(taken) - len(done))
+                done.append(x)
+            return x
+
+        assert self.bounded(lambda: geometry._shared(fn, items(), cpus)) == list(range(100))
+        assert held[0] <= cpus and max(held) <= cpus
 
 
 # ---------------------------------------------------------------------------

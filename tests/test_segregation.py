@@ -598,7 +598,8 @@ class TestPermutation:
             permutation_pvalue(LabeledPointSet(pts.points, labels), "version_I", 99, 1)
 
     # with n = 40: one row per sub-block, 7-row sub-blocks, the whole run at
-    # once, for the tables scored at once and for the labels drawn at once
+    # once, for the labels tabulated at once and for the labels drawn at
+    # once; one table, 7 tables and all of them for the tables scored at once
     @pytest.mark.parametrize("entries", [40, 7 * 40, 1 << 30])
     @pytest.mark.parametrize("flavor", ["dixon_overall", "version_I", "cell_Z_12"])
     def test_pvalue_does_not_depend_on_the_block_entries(self, monkeypatch, entries, flavor):
@@ -608,6 +609,9 @@ class TestPermutation:
         for draw in (40, 7 * 40, 1 << 30):
             monkeypatch.setattr(segregation, "_PERM_DRAW_ENTRIES", draw)
             assert cold_pvalue(pts, flavor, 999, 9) == expected, draw
+        for tables in (1, 7, 1 << 30):
+            monkeypatch.setattr(segregation, "_PERM_SCORE_TABLES", tables)
+            assert permutation_pvalue(pts, flavor, 999, 9) == expected, tables
 
     # the p-values of the two benchmark-sized CSR sets at seed 17 and 999
     # permutations, as k of k / 1000, in the order OVERALL_FLAVORS + CELL_FLAVORS;
@@ -677,6 +681,28 @@ class TestPermutation:
             cpus = pool.submit(geometry._search_cpus).result()
             child = pool.submit(permutation_pvalue, p, "version_I", 999, 2).result()
         assert cpus == 1 and child == threaded
+
+    def test_a_shared_run_holds_one_batch_per_thread(self, monkeypatch, four_cpus):
+        # at n = 20000 a thread tabulates 13 labelings at a time: 260 kB of
+        # labels, as many gathered NN labels and one 160 kB draw row, so each
+        # helper adds under 1 MiB to the peak (a 64-row block of labels alone
+        # takes 1.28 MB)
+        import tracemalloc
+
+        pts = random_point_set(np.random.default_rng(83), 20000, n1=8000)
+        geometry._nn_indices(pts.points)  # scipy's first search allocates for good
+        peaks = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
+            four_cpus.clear()
+            tracemalloc.start()
+            try:
+                cold_pvalue(pts, "version_I", 999, 3)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(four_cpus) == 6  # 3 for the search's first round, 3 for the draw
+        assert peaks[4] <= peaks[1] + 3 * 2**20
 
     @pytest.mark.parametrize("n", [60, 300])
     def test_the_flavors_of_one_run_draw_once(self, draws, n):
