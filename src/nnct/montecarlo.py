@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -47,6 +47,9 @@ _CHUNK = 500
 # drawn, stacked and searched together, and a chunk's memory stays that of
 # one sub-block at any n
 _DRAW_BLOCK = 1 << 12
+# (n, seed) pairs whose Q/R replications a process keeps: the 7 distinct n
+# of the paper's combos, twice over
+_QR_KEYS = 16
 
 # numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx),
 # with its default pool of 4 uint32 words
@@ -363,10 +366,12 @@ def _digraphs(key: tuple, draw, n: int, lo: int, hi: int):
         yield slice(start - lo, stop - lo), nn, q, r
 
 
-def _run_chunks(worker, n_mc: int, workers: int) -> list:
-    """Run worker(lo, hi) over fixed chunks of the replication range and
-    return the parts in chunk order (deterministic reduction)."""
-    bounds = [(lo, min(lo + _CHUNK, n_mc)) for lo in range(0, n_mc, _CHUNK)]
+def _run_chunks(worker, start: int, stop: int, workers: int) -> list:
+    """Run worker(lo, hi) over the replication range [start, stop) in chunks
+    of ``_CHUNK`` replications from ``start`` and return the parts in chunk
+    order (deterministic reduction).  A replication draws from its own
+    stream, so no part depends on where the chunks start."""
+    bounds = [(lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK)]
     if workers <= 1 or len(bounds) <= 1:
         return [worker(lo, hi) for lo, hi in bounds]
     from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
@@ -399,17 +404,39 @@ def _qr_chunk(n: int, seed: int, lo: int, hi: int):
     return qs, rs
 
 
+@lru_cache(maxsize=_QR_KEYS)
+def _qr_draws(n: int, seed: int) -> list:
+    """The Q/n and R/n of the replications of ``estimate_qr(n, ., seed)``
+    drawn so far in this process: a one-item list holding a ``(qs, rs)``
+    pair of float64 arrays over replications [0, len(qs)), empty at first.
+    ``estimate_qr`` replaces the pair by a longer one in one assignment."""
+    return [(np.empty(0), np.empty(0))]
+
+
 def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
     """Monte Carlo estimate of E[Q/n] and E[R/n] under CSR on the unit
-    square, with standard errors.  Bit-reproducible for a fixed seed at any
-    worker count."""
+    square, with standard errors, over replications [0, n_mc).
+
+    Replication ``i`` draws from ``default_rng([seed, 1, n, i])`` whatever
+    ``n_mc`` is, so a process keeps the replications it has drawn for the
+    last ``_QR_KEYS`` (n, seed) pairs (``_qr_draws``, 16 bytes each): a
+    later call draws only the replications beyond them, in chunks from the
+    first one missing, and a shorter one reads a prefix.  The estimate is
+    bit-reproducible for a fixed seed at any worker count and call order.
+    """
     n = check_count(n, "n", 2)
     n_mc = check_count(n_mc, "n_mc", 1)
     workers = check_count(workers, "workers", 1)
     seed = check_seed(seed)
-    parts = _run_chunks(partial(_qr_chunk, n, seed), n_mc, workers)
-    qs = np.concatenate([p[0] for p in parts])
-    rs = np.concatenate([p[1] for p in parts])
+    # local arrays only: another thread may replace the stored pair meanwhile
+    stored = _qr_draws(n, seed)
+    qs, rs = stored[0]
+    if qs.size < n_mc:
+        parts = _run_chunks(partial(_qr_chunk, n, seed), qs.size, n_mc, workers)
+        qs = np.concatenate([qs, *(p[0] for p in parts)])
+        rs = np.concatenate([rs, *(p[1] for p in parts)])
+        stored[0] = qs, rs
+    qs, rs = qs[:n_mc], rs[:n_mc]
     se_q = float(qs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     se_r = float(rs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return QREstimate(
@@ -504,7 +531,7 @@ def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
                 _rejection_chunk, alt_kind, param, n1, n2,
                 config.seed, config.alpha, q_hat, r_hat,
             )
-            rej, degenerate = sum(_run_chunks(worker, config.n_mc, config.parallelism))
+            rej, degenerate = sum(_run_chunks(worker, 0, config.n_mc, config.parallelism))
             for m, mode in enumerate(QR_MODES):
                 for t, flavor in enumerate(OVERALL_FLAVORS):
                     rate = float(rej[t, m]) / config.n_mc

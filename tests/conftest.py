@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnct import ContingencyTable, LabeledPointSet, ingest, segregation
+from nnct import ContingencyTable, LabeledPointSet, ingest, montecarlo, segregation
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -18,10 +18,12 @@ ARTI_Q_ADJ, ARTI_R_ADJ = 63.37, 62.17
 
 
 @pytest.fixture(autouse=True)
-def no_stored_permutation_run():
-    """Every test starts without a stored permutation run, so that no
-    p-value is scored on another test's draws."""
+def no_stored_draws():
+    """Every test starts without a stored permutation run or Q/R
+    replications, so that no p-value or estimate reuses another test's
+    draws."""
     segregation._permutation_run.cache_clear()
+    montecarlo._qr_draws.cache_clear()
 
 
 @pytest.fixture

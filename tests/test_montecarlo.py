@@ -112,8 +112,11 @@ class TestEstimateQR:
         assert est.se_q == est.se_r == 0.0
 
     def test_reproducible_and_worker_invariant(self):
+        # the stored replications are emptied, so that every call draws
         a = estimate_qr(40, 600, seed=9, workers=1)
+        montecarlo._qr_draws.cache_clear()
         b = estimate_qr(40, 600, seed=9, workers=1)
+        montecarlo._qr_draws.cache_clear()
         c = estimate_qr(40, 600, seed=9, workers=2)
         assert a == b == c
 
@@ -186,6 +189,129 @@ class TestEstimateQR:
         est = estimate_qr(50, 50, 3)
         assert {r.q_hat for r in report.rows if r.qr_mode == "adjusted"} == {
             est.q_over_n * 50}
+
+
+class TestStoredReplications:
+    """``estimate_qr`` keeps the replications it has drawn per (n, seed) and
+    draws only those a later call adds."""
+
+    SIZES = (300, 400, 250, 1200)
+
+    @staticmethod
+    def fresh(n, n_mc, seed):
+        montecarlo._qr_draws.cache_clear()
+        return estimate_qr(n, n_mc, seed)
+
+    @staticmethod
+    def count_draws(monkeypatch) -> list:
+        """The (n, seed, lo, hi) of every ``_qr_chunk`` call from now on."""
+        drawn = []
+
+        def counted(n, seed, lo, hi):
+            drawn.append((n, seed, lo, hi))
+            return _qr_chunk(n, seed, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_qr_chunk", counted)
+        return drawn
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_request_equals_a_fresh_estimate(self, workers):
+        expected = [self.fresh(40, n_mc, 5) for n_mc in self.SIZES]
+        montecarlo._qr_draws.cache_clear()
+        assert [estimate_qr(40, n_mc, 5, workers) for n_mc in self.SIZES] == expected
+
+    def test_each_replication_is_drawn_once(self, monkeypatch):
+        drawn = self.count_draws(monkeypatch)
+        for n_mc in self.SIZES:
+            estimate_qr(40, n_mc, 5)
+        # chunks of 500 from the first replication missing
+        assert drawn == [(40, 5, 0, 300), (40, 5, 300, 400), (40, 5, 400, 900),
+                         (40, 5, 900, 1200)]
+
+    def test_another_n_or_seed_misses(self, monkeypatch):
+        drawn = self.count_draws(monkeypatch)
+        estimate_qr(40, 300, 5)
+        estimate_qr(41, 300, 5)
+        estimate_qr(40, 300, 6)
+        estimate_qr(40, 300, 5)
+        assert drawn == [(40, 5, 0, 300), (41, 5, 0, 300), (40, 6, 0, 300)]
+        assert montecarlo._qr_draws.cache_info().currsize == 3
+
+    def test_the_least_recent_key_is_evicted_at_the_bound(self, monkeypatch):
+        drawn = self.count_draws(monkeypatch)
+        bound = montecarlo._QR_KEYS
+        for seed in range(bound):
+            estimate_qr(10, 5, seed)
+        estimate_qr(10, 5, 0)  # stored: no draw, and now the most recent key
+        assert len(drawn) == bound
+        estimate_qr(10, 5, bound)  # evicts seed 1
+        assert montecarlo._qr_draws.cache_info().currsize == bound
+        estimate_qr(10, 5, 0)
+        assert len(drawn) == bound + 1
+        estimate_qr(10, 5, 1)
+        assert drawn[-1] == (10, 1, 0, 5)
+
+    def test_bad_arguments_raise_on_a_stored_key(self):
+        estimate_qr(20, 50, 1)
+        with pytest.raises(InvalidArgumentError, match="n_mc"):
+            estimate_qr(20, 0, 1)
+        with pytest.raises(InvalidArgumentError, match="workers"):
+            estimate_qr(20, 50, 1, workers=0)
+        assert estimate_qr(20, 50, 1) == self.fresh(20, 50, 1)
+
+    def test_threads_racing_on_one_key(self, monkeypatch):
+        import sys
+        import threading
+
+        expected = {n_mc: self.fresh(40, n_mc, 5) for n_mc in self.SIZES}
+        montecarlo._qr_draws.cache_clear()
+        # the short request reads the empty store, then draws only after the
+        # long one has stored 1200 replications, and stores its 400 over them
+        short_drawing, long_done = threading.Event(), threading.Event()
+
+        def held(n, seed, lo, hi):
+            if threading.current_thread().name == "short":
+                short_drawing.set()
+                long_done.wait(60)
+            return _qr_chunk(n, seed, lo, hi)
+
+        monkeypatch.setattr(montecarlo, "_qr_chunk", held)
+        got = {}
+
+        def run(n_mc):
+            got[n_mc] = estimate_qr(40, n_mc, 5)
+            long_done.set()
+
+        short = threading.Thread(target=run, args=(400,), name="short")
+        short.start()
+        assert short_drawing.wait(60)
+        run(1200)
+        short.join(60)
+        assert not short.is_alive()
+        assert got == {400: expected[400], 1200: expected[1200]}
+        assert montecarlo._qr_draws(40, 5)[0][0].size == 400
+        assert estimate_qr(40, 1200, 5) == expected[1200]
+        # many threads on the cleared store, switching as often as they can
+        montecarlo._qr_draws.cache_clear()
+        requests = self.SIZES * 3
+        results = [None] * len(requests)
+
+        def request(k):
+            results[k] = estimate_qr(40, requests[k], 5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request, args=(k,))
+                       for k in range(len(requests))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected[n_mc] for n_mc in requests]
 
 
 class TestSizeBand:

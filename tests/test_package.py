@@ -78,17 +78,34 @@ def test_generalized_inverse_is_not_exported():
     assert callable(generalized_inverse)
 
 
-def test_the_stored_permutation_run_is_a_cache_the_benchmark_clears(monkeypatch):
-    # the benchmark worker (bench/worker.py) empties every lru_cache bound in
-    # an nnct module before each iteration, so no iteration reuses a draw
+def _bench_worker(monkeypatch):
+    """The benchmark worker (bench/worker.py), which empties every lru_cache
+    bound in an nnct module before each iteration, so that no iteration
+    reuses a draw."""
     import importlib.util
-
-    import nnct.segregation
 
     monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
     spec = importlib.util.spec_from_file_location("bench_worker", SRC.parent / "bench" / "worker.py")
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
+    return worker
+
+
+def test_the_stored_permutation_run_is_a_cache_the_benchmark_clears(monkeypatch):
+    import nnct.segregation
+
     run = vars(nnct.segregation)["_permutation_run"]
     assert callable(run.cache_clear)
-    assert any(cache is run for cache in worker._lru_caches())
+    assert any(cache is run for cache in _bench_worker(monkeypatch)._lru_caches())
+
+
+def test_the_stored_qr_replications_are_a_cache_the_benchmark_clears(monkeypatch):
+    import nnct.montecarlo
+
+    draws = vars(nnct.montecarlo)["_qr_draws"]
+    nnct.montecarlo.estimate_qr(20, 30, 1)
+    assert draws.cache_info().currsize == 1
+    caches = [c for c in _bench_worker(monkeypatch)._lru_caches() if c is draws]
+    assert len(caches) == 1
+    caches[0].cache_clear()
+    assert draws.cache_info().currsize == 0
