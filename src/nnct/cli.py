@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot read config file {path}: {e}")
     with fh:

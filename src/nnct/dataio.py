@@ -166,9 +166,10 @@ def ingest(
 ) -> LabeledPointSet:
     """Read a two-class point file.
 
-    Each data row is ``x,y,label`` in UTF-8 CSV.  Blank rows are skipped;
-    the header, if any, is the first record.  Labels map to classes 1 and 2
-    in first-seen order unless ``classes`` pins the mapping explicitly.
+    Each data row is ``x,y,label`` in UTF-8 CSV; a leading byte-order mark
+    is skipped.  Blank rows are skipped; the header, if any, is the first
+    record.  Labels map to classes 1 and 2 in first-seen order unless
+    ``classes`` pins the mapping explicitly.
 
     Raises
     ------
@@ -193,7 +194,7 @@ def ingest(
         mapping = {str(classes[0]): 1, str(classes[1]): 2}
     cols = _Columns(mapping, pinned=classes is not None)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}")
     with fh:

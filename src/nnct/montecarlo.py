@@ -23,7 +23,10 @@ from .numerics import chi2_sf
 from .segregation import OVERALL_DF, OVERALL_FLAVORS, _statistic_only
 
 # Large-n CSR expectations of Q/n and R/n on the unit square (Monte Carlo
-# estimates; used by the "asymptotic" flavor of the adjustment).
+# estimates; used by the "asymptotic" flavor of the adjustment).  R/n has a
+# closed form for a planar Poisson process, the share of points in reflexive
+# NN pairs: 6 pi / (8 pi + 3 sqrt 3) = 0.6215049 (Cox 1981, Pickard 1982),
+# 3.85e-4 above the constant here.
 CSR_Q_PER_POINT = 0.6327860
 CSR_R_PER_POINT = 0.6211200
 
@@ -50,6 +53,9 @@ _DRAW_BLOCK = 1 << 12
 # (n, seed) pairs whose Q/R replications a process keeps: the 7 distinct n
 # of the paper's combos, twice over
 _QR_KEYS = 16
+# bytes of Q/n and R/n kept per pair: 65,536 replications, so 16 pairs hold
+# at most 16 MiB
+_QR_KEY_BYTES = 1 << 20
 
 # numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx),
 # with its default pool of 4 uint32 words
@@ -370,13 +376,14 @@ def _run_chunks(worker, start: int, stop: int, workers: int) -> list:
     """Run worker(lo, hi) over the replication range [start, stop) in chunks
     of ``_CHUNK`` replications from ``start`` and return the parts in chunk
     order (deterministic reduction).  A replication draws from its own
-    stream, so no part depends on where the chunks start."""
+    stream, so no part depends on where the chunks start.  At most one
+    process runs per chunk: a forking pool starts all its processes at once."""
     bounds = [(lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK)]
     if workers <= 1 or len(bounds) <= 1:
         return [worker(lo, hi) for lo, hi in bounds]
     from concurrent.futures import ProcessPoolExecutor  # only parallel runs pay its import
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
         return list(pool.map(worker, *zip(*bounds)))
 
 
@@ -407,9 +414,10 @@ def _qr_chunk(n: int, seed: int, lo: int, hi: int):
 @lru_cache(maxsize=_QR_KEYS)
 def _qr_draws(n: int, seed: int) -> list:
     """The Q/n and R/n of the replications of ``estimate_qr(n, ., seed)``
-    drawn so far in this process: a one-item list holding a ``(qs, rs)``
+    kept so far in this process: a one-item list holding a ``(qs, rs)``
     pair of float64 arrays over replications [0, len(qs)), empty at first.
-    ``estimate_qr`` replaces the pair by a longer one in one assignment."""
+    ``estimate_qr`` replaces the pair by a longer one in one assignment,
+    while it fits ``_QR_KEY_BYTES``."""
     return [(np.empty(0), np.empty(0))]
 
 
@@ -419,10 +427,12 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
 
     Replication ``i`` draws from ``default_rng([seed, 1, n, i])`` whatever
     ``n_mc`` is, so a process keeps the replications it has drawn for the
-    last ``_QR_KEYS`` (n, seed) pairs (``_qr_draws``, 16 bytes each): a
-    later call draws only the replications beyond them, in chunks from the
-    first one missing, and a shorter one reads a prefix.  The estimate is
-    bit-reproducible for a fixed seed at any worker count and call order.
+    last ``_QR_KEYS`` (n, seed) pairs (``_qr_draws``, 16 bytes each, up to
+    ``_QR_KEY_BYTES`` per pair): a later call draws only the replications
+    beyond them, in chunks from the first one missing, and a shorter one
+    reads a prefix.  A call that would keep more than the budget keeps the
+    stored prefix as it is.  The estimate is bit-reproducible for a fixed
+    seed at any worker count and call order.
     """
     n = check_count(n, "n", 2)
     n_mc = check_count(n_mc, "n_mc", 1)
@@ -435,7 +445,8 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
         parts = _run_chunks(partial(_qr_chunk, n, seed), qs.size, n_mc, workers)
         qs = np.concatenate([qs, *(p[0] for p in parts)])
         rs = np.concatenate([rs, *(p[1] for p in parts)])
-        stored[0] = qs, rs
+        if qs.nbytes + rs.nbytes <= _QR_KEY_BYTES:
+            stored[0] = qs, rs
     qs, rs = qs[:n_mc], rs[:n_mc]
     se_q = float(qs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     se_r = float(rs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0

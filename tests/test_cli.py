@@ -4,7 +4,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +387,12 @@ class TestConfigFile:
         assert main(["analyze", tsv, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfqr_mode = adjusted-asymptotic\n")
+        assert main(["analyze", FIXTURE, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["qr_mode"] == "adjusted-asymptotic"
+
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -535,3 +544,87 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 4  # the four overall tests
+
+
+# Byte-identical outputs at any --workers count, CPU count and process split
+ENV = {**os.environ, "PYTHONPATH": str(DATA_DIR.parents[1] / "src")}
+
+# The first four draw two chunks per stream (n = 300 by kd-tree in the pool's children); the
+# last four share n = 50 at --qr-nmc 300, 400 and 1200, which one process draws once, and
+# also run as separate processes.
+_COMMANDS = """estimate-qr --n 300,20 --nmc 600
+simulate size --combos 10,10 --nmc 600 --qr-nmc 600 --out size10
+simulate power-seg --s 1/6 --combos 10,10 --nmc 600 --qr-nmc 600 --out seg10
+simulate power-assoc --r 1/4 --combos 10,10 --nmc 600 --qr-nmc 600 --out assoc10
+simulate size --combos 20,30 40,40 --nmc 40 --qr-nmc 300 --out size
+simulate power-seg --s 1/6,1/3 --combos 20,30 30,20 --nmc 40 --qr-nmc 400 --out seg
+simulate power-assoc --r 1/4 --combos 30,20 --nmc 40 --qr-nmc 400 --out assoc
+estimate-qr --n 80,50 --nmc 1200""".splitlines()
+
+
+def test_outputs_do_not_depend_on_workers_or_processes(tmp_path, monkeypatch, capsys):
+    for workers in (1, 2):
+        montecarlo._qr_draws.cache_clear()  # so that one process draws again at 2
+        one, separate = tmp_path / f"one{workers}", tmp_path / f"separate{workers}"
+        one.mkdir()
+        separate.mkdir()
+        for k, argv in enumerate(_COMMANDS):
+            argv = f"{argv} --workers {workers}".split()
+            if k >= 4:
+                with open(separate / f"{k}.out", "w", encoding="utf-8") as out:
+                    subprocess.run([sys.executable, "-m", "nnct.cli", *argv], cwd=separate,
+                                   env=ENV, stdout=out, check=True)
+            monkeypatch.chdir(one)
+            assert main(argv) == 0
+            (one / f"{k}.out").write_text(capsys.readouterr().out, encoding="utf-8")
+    found = {d.name: {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+             for d in tmp_path.iterdir()}
+    assert len(found["one1"]) == 26 and found["one1"] == found["one2"]  # 8 stdouts, 6 x 3 files
+    assert len(found["separate1"]) == 13 and found["separate1"] == found["separate2"]
+    assert found["separate1"].items() <= found["one1"].items()
+
+
+# analyze --cells on each file; the 8 permutation p-values, warm and cold (drawn afresh)
+_CHILD = """import contextlib, io, json, sys, numpy as np, nnct.cli
+from nnct.segregation import CELL_FLAVORS, OVERALL_FLAVORS, _permutation_run
+found = {"cpus": nnct.geometry._search_cpus()}
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert nnct.cli.main(["analyze", path, "--cells"]) == 0
+    found[path] = out.getvalue()
+for n in (1000, 5000):  # above 4096 points a block is tabulated in parts
+    r = np.random.default_rng(24)
+    p = nnct.LabeledPointSet(r.random((n, 2)), r.integers(1, 3, n))
+    found[f"warm {n}"] = [nnct.permutation_pvalue(p, f, 999, 24)
+                          for f in OVERALL_FLAVORS + CELL_FLAVORS]
+    found[f"cold {n}"] = [_permutation_run.cache_clear() or nnct.permutation_pvalue(p, f, 999, 24)
+                          for f in OVERALL_FLAVORS + CELL_FLAVORS]
+print(json.dumps(found))"""
+_PIN = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare one against")
+def test_one_cpu_gives_the_bytes_of_all_cpus(tmp_path):
+    # 3*10^4 CSR points, a shuffled 200x200 grid, 3000 points on two sites and
+    # 3*10^4 rounded points that share x values
+    csr, grid, dup, rounded = map(np.random.default_rng, range(20, 24))
+    cell, site = grid.permutation(40000), np.r_[0, 1, 0, 1, dup.integers(0, 2, 3000)[4:]]
+    paths = [str(tmp_path / f"{name}.csv") for name in ("csr", "grid", "dup", "rounded")]
+    for path, rows in zip(paths, [
+            [csr.random((30000, 2)), csr.integers(1, 3, 30000)],
+            [cell // 200, cell % 200, grid.integers(1, 3, 40000)],
+            [np.array([[.25, .25], [.75, .75]])[site], np.r_[1, 2, dup.integers(1, 3, 3000)[2:]]],
+            [rounded.random((30000, 2)).round(6), rounded.integers(1, 3, 30000)]]):
+        np.savetxt(path, np.column_stack(rows), fmt=["%.17g", "%.17g", "%d"], delimiter=",",
+                   header="x,y,label", comments="")
+    # the pinned child sets its own mask first, before numpy starts a thread
+    children = [subprocess.Popen([sys.executable, "-c", pin + _CHILD, *paths], env=ENV,
+                                 stdout=subprocess.PIPE) for pin in ("", _PIN)]
+    every, one = (json.loads(child.communicate(timeout=300)[0]) for child in children)
+    assert every.pop("cpus") > 1 and one.pop("cpus") == 1
+    assert one == every
+    assert all(every[f"warm {n}"] == every[f"cold {n}"] for n in (1000, 5000))
+    # the two sites coincide, the rounded points do not
+    assert [json.loads(every[path])["input"]["duplicate_points"]
+            for path in paths[2:]] == [True, False]

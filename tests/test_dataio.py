@@ -23,7 +23,7 @@ def reference_ingest(path, has_header=True, delimiter=",", classes=None):
     if classes is not None:
         mapping = {str(classes[0]): 1, str(classes[1]): 2}
     xs, ys, labels = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         lineno = 0
         try:
@@ -199,6 +199,11 @@ class TestFormat:
             ingest(write_bytes(tmp_path, data))
         with pytest.raises(ParseError, match="line 4: expected 3 columns"):
             ingest(write_bytes(tmp_path, b"x,y,label\n0,0,a\n1,0,b\n2,0\n3,0,c\n"))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        pts = ingest(write_bytes(tmp_path, b"\xef\xbb\xbf0.1,0,a\n1,0,b\n"), has_header=False)
+        assert pts.points.tolist() == [[0.1, 0.0], [1.0, 0.0]]
+        assert pts.labels.tolist() == [1, 2]
 
 
 class TestBadInput:

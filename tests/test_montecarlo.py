@@ -111,14 +111,21 @@ class TestEstimateQR:
         assert est.r_over_n == 1.0
         assert est.se_q == est.se_r == 0.0
 
-    def test_reproducible_and_worker_invariant(self):
-        # the stored replications are emptied, so that every call draws
-        a = estimate_qr(40, 600, seed=9, workers=1)
+    def test_a_pool_starts_one_process_per_chunk_at_most(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        expected = estimate_qr(20, 1000, 1)
         montecarlo._qr_draws.cache_clear()
-        b = estimate_qr(40, 600, seed=9, workers=1)
-        montecarlo._qr_draws.cache_clear()
-        c = estimate_qr(40, 600, seed=9, workers=2)
-        assert a == b == c
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        assert estimate_qr(20, 1000, 1, workers=8) == expected
+        assert asked == [2]  # two chunks of 500
 
     def test_seed_matters(self):
         a = estimate_qr(40, 200, seed=1)
@@ -133,6 +140,12 @@ class TestEstimateQR:
         assert abs(large.q_over_n - 0.63279) < abs(small.q_over_n - 0.63279)
         assert abs(large.q_over_n - 0.63279) < 0.01
         assert abs(large.r_over_n - 0.62112) < 0.01
+
+    def test_asymptotic_r_against_its_closed_form(self):
+        # the share of points in reflexive NN pairs of a planar Poisson process
+        # (Cox 1981, Pickard 1982)
+        closed_form = 6 * np.pi / (8 * np.pi + 3 * np.sqrt(3))
+        assert 3.8e-4 < closed_form - montecarlo.CSR_R_PER_POINT < 3.9e-4
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -250,6 +263,17 @@ class TestStoredReplications:
         assert len(drawn) == bound + 1
         estimate_qr(10, 5, 1)
         assert drawn[-1] == (10, 1, 0, 5)
+
+    def test_a_call_over_the_byte_budget_keeps_the_stored_prefix(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_QR_KEY_BYTES", 16 * 300)
+        drawn = self.count_draws(monkeypatch)
+        sizes = (250, 400, 200, 300)
+        got = [estimate_qr(40, n_mc, 5) for n_mc in sizes]
+        # 400 replications exceed the budget: the 250 stay stored and serve
+        # the 200; the 300 fit and are stored
+        assert drawn == [(40, 5, 0, 250), (40, 5, 250, 400), (40, 5, 250, 300)]
+        assert montecarlo._qr_draws(40, 5)[0][0].size == 300
+        assert got == [self.fresh(40, n_mc, 5) for n_mc in sizes]
 
     def test_bad_arguments_raise_on_a_stored_key(self):
         estimate_qr(20, 50, 1)
@@ -424,11 +448,6 @@ class TestEmpiricalSize:
             else:
                 assert row.q_hat is None
         assert report.rows[0].combo_index == 1  # (10,10) is combo 1 of 12
-
-    def test_bit_reproducible_across_workers(self):
-        a = empirical_size([(10, 10)], _tiny_config(n_mc=600))
-        b = empirical_size([(10, 10)], _tiny_config(n_mc=600, parallelism=2))
-        assert a.to_json() == b.to_json()
 
     def test_alpha_zero_never_rejects(self):
         report = empirical_size([(10, 10)], _tiny_config(alpha=0.0))
