@@ -111,6 +111,15 @@ class TestEstimateQR:
         assert est.r_over_n == 1.0
         assert est.se_q == est.se_r == 0.0
 
+    def test_reproducible_and_worker_invariant(self):
+        # the stored replications are emptied, so that every call draws
+        a = estimate_qr(40, 600, seed=9, workers=1)
+        montecarlo._qr_draws.cache_clear()
+        b = estimate_qr(40, 600, seed=9, workers=1)
+        montecarlo._qr_draws.cache_clear()
+        c = estimate_qr(40, 600, seed=9, workers=2)
+        assert a == b == c
+
     def test_a_pool_starts_one_process_per_chunk_at_most(self, monkeypatch):
         import concurrent.futures
 
@@ -448,6 +457,11 @@ class TestEmpiricalSize:
             else:
                 assert row.q_hat is None
         assert report.rows[0].combo_index == 1  # (10,10) is combo 1 of 12
+
+    def test_bit_reproducible_across_workers(self):
+        a = empirical_size([(10, 10)], _tiny_config(n_mc=600))
+        b = empirical_size([(10, 10)], _tiny_config(n_mc=600, parallelism=2))
+        assert a.to_json() == b.to_json()
 
     def test_alpha_zero_never_rejects(self):
         report = empirical_size([(10, 10)], _tiny_config(alpha=0.0))
