@@ -1,19 +1,24 @@
 """Point data ingestion: CSV rows of x, y, label.
 
-The file is read in blocks of lines.  A block without quotes is cut into
-records and cells with ``str.split``, which on such text is exactly the
-``csv`` module's rule; from the first block that holds a quote on, records
-come from one ``csv.reader``.  A block whose records all have three cells is
-converted column by column: one ``np.array(..., dtype=float)`` call for the
-coordinates (it parses like ``float()``) and one ``np.where`` for the labels.
-Only a block that fails there (a blank row, a bad cell count or coordinate,
-a label outside the two classes) is read again row by row, which finds the
-first offending record and reports it by its line number.
+The file is read in blocks of characters, each completed to the end of its
+last line, so that no record and no CRLF spans two blocks.  A block without
+quotes has its CRs turned into LFs, and one ``bytes.translate`` pass over
+its UTF-8 bytes tests that every record's separators run delimiter,
+delimiter, LF.  Such a block is cut into its cells by one ``str.split``,
+which on quote-free text is exactly the ``csv`` module's rule.  From the
+first block that holds a quote on, records come from one ``csv.reader``,
+which streams the rest of the file.  A block whose records all have three
+cells is converted column by column: one ``np.array(..., dtype=float)`` call
+for the coordinates (it parses like ``float()``) and one ``np.where`` for
+the labels.  Only a block that fails there (a blank row, a bad cell count or
+coordinate, a label outside the two classes) is read again row by row, which
+finds the first offending record and reports it by its line number.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidInputError, ParseError
 from .geometry import LabeledPointSet
 
-# characters of lines per block pulled with ``readlines``
+# characters per block read with ``read``, before its last line is completed
 _BLOCK_CHARS = 1 << 16
 # records per block once ``csv.reader`` has taken over
 _BLOCK_ROWS = 1 << 13
@@ -38,16 +43,10 @@ class _Columns:
         self.points: list[np.ndarray] = []
         self.labels: list[np.ndarray] = []
 
-    def add(self, first: int, rows, cells: list[str] | None) -> None:
-        """Append a block of records, the first of which is line ``first``.
-
-        ``rows`` iterates over the records as cell lists; ``cells`` is their
-        flat x, y, label cell list when every record has three cells.
-        """
-        if cells is None or not self._add_columns(cells):
-            self._add_rows(first, rows)
-
-    def _add_columns(self, cells: list[str]) -> bool:
+    def add_columns(self, cells: list[str]) -> bool:
+        """Append a block from the flat x, y, label cell list of its
+        records, or return False, appending nothing, if a record is not a
+        data row of the two classes."""
         labs = list(map(str.strip, cells[2::3]))
         try:
             pts = np.array([cells[0::3], cells[1::3]], dtype=float)
@@ -68,7 +67,10 @@ class _Columns:
         self.labels.append(np.where(np.array(labs, dtype=object) == class_1, 1, 2))
         return True
 
-    def _add_rows(self, first: int, rows) -> None:
+    def add_rows(self, first: int, rows) -> None:
+        """Append a block from its records as cell lists, the first of which
+        is line ``first``, or raise on the first one that is not blank and
+        not a data row of the two classes."""
         mapping = self.mapping
         xs: list[float] = []
         ys: list[float] = []
@@ -99,11 +101,11 @@ class _Columns:
             self.labels.append(np.array(codes))
 
 
-def _csv_records(lines: list[str], fh, delimiter: str, failure: list):
-    """Records of ``lines`` and the rest of ``fh`` from one ``csv.reader``;
-    a ``csv.Error`` ends them and is put in ``failure``."""
+def _csv_records(lines, delimiter: str, failure: list):
+    """Records of ``lines`` from one ``csv.reader``; a ``csv.Error`` ends
+    them and is put in ``failure``."""
     try:
-        yield from csv.reader(chain(lines, fh), delimiter=delimiter)
+        yield from csv.reader(lines, delimiter=delimiter)
     except csv.Error as e:
         failure.append(e)
 
@@ -112,37 +114,54 @@ def _read(fh, path: str, delimiter: str, has_header: bool, cols: _Columns) -> No
     """Feed every record of ``fh`` but the header to ``cols``."""
     lineno = 0  # records read so far
     limit = csv.field_size_limit()
-    while lines := fh.readlines(_BLOCK_CHARS):
-        text = "".join(lines)
-        # quotes, NULs and fields over the csv size limit are csv.reader's
-        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+    # A block's record shape is read from its UTF-8 bytes with all but the
+    # delimiters and LFs deleted.  No byte of another character equals an
+    # ASCII delimiter or LF; a delimiter that is not ASCII is first replaced
+    # by NUL, which no quote-free block holds.
+    mark = delimiter if delimiter.isascii() else "\0"
+    others = bytes(set(range(256)) - {ord(mark), ord("\n")})
+    shape = (mark + mark + "\n").encode()
+    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        # quotes and NULs are csv.reader's
+        if '"' in block or "\0" in block:
             break
-        recs = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not recs[-1]:  # the block's last line ends in a line break
-            del recs[-1]
+        text = block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block
+        if text[-1] != "\n":  # the file's last line has no line break
+            text += "\n"
+        # so is a field over the csv size limit, which only a line that long holds
+        if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+            break
         first = lineno + 1
-        lineno += len(recs)
+        lineno += text.count("\n")
         if has_header and first == 1:
-            del recs[0]
+            text = text.partition("\n")[2]
             first = 2
-        if recs:
-            flat = set(map(str.count, recs, repeat(delimiter))) == {2}
-            cells = delimiter.join(recs).split(delimiter) if flat else None
-            cols.add(first, map(str.split, recs, repeat(delimiter)), cells)
+        if not text:
+            continue
+        probe = text if mark == delimiter else text.replace(delimiter, mark)
+        if probe.encode().translate(None, others) == shape * (lineno - first + 1):
+            # every record's separators are delimiter, delimiter, LF
+            cells = text.replace("\n", delimiter).split(delimiter)
+            del cells[-1]  # the empty one after the last LF
+            if cols.add_columns(cells):
+                continue
+        cols.add_rows(first, map(str.split, text[:-1].split("\n"), repeat(delimiter)))
     else:  # end of file, and no block needed csv.reader
         return
 
     failure: list[csv.Error] = []
-    records = _csv_records(lines, fh, delimiter, failure)
+    # the block's lines, split like the file's, then the rest of the file
+    records = _csv_records(chain(io.StringIO(block, newline=""), fh), delimiter, failure)
+    del block
     while rows := list(islice(records, _BLOCK_ROWS)):
         first = lineno + 1
         lineno += len(rows)
         if has_header and first == 1:
             del rows[0]
             first = 2
-        if rows:
-            flat = set(map(len, rows)) == {3}
-            cols.add(first, rows, list(chain.from_iterable(rows)) if flat else None)
+        if set(map(len, rows)) == {3} and cols.add_columns(list(chain.from_iterable(rows))):
+            continue
+        cols.add_rows(first, rows)
     if failure:
         raise ParseError(f"{path}: line {lineno + 1}: {failure[0]}")
 

@@ -239,8 +239,10 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
     site lies at squared distance 0.  ``lowest`` maps a site to the index it
     stands for, its lowest member; None when the sites are the points.
 
-    An unbalanced kd-tree (cheaper to build, slightly slower to query) is
-    queried for ``k`` candidates per site, in its leaf order.  A site whose
+    A kd-tree that is neither balanced nor shrunk to its points' bounds at
+    each node (cheaper to build, slower to query only on points that lie
+    along a curve) is queried for ``k`` candidates per site, in its leaf
+    order.  A site whose
     first other candidate is strictly nearer than the next takes it as the
     query found it.  The others recompute ``dx*dx + dy*dy``, as
     ``_nn_brute`` does, and ``k`` grows on those whose k-th candidate is not
@@ -256,7 +258,7 @@ def _nearest_other_site(site_xy: np.ndarray, k: int, winner: np.ndarray,
 
     ns = site_xy.shape[0]
     zero = np.zeros(ns, dtype=bool)
-    tree = cKDTree(site_xy, balanced_tree=False)
+    tree = cKDTree(site_xy, balanced_tree=False, compact_nodes=False)
 
     def resolve(q, k):
         """Answer the sites ``q`` from ``k`` candidates; return those left open."""

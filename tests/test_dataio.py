@@ -133,7 +133,8 @@ read_options = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("block", [None, 1], ids=["default_blocks", "one_char_one_row"])
+@pytest.mark.parametrize("block", [None, 1, 7],
+                         ids=["default_blocks", "one_char_one_row", "seven_char_blocks"])
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(file=structured_file() | raw_file(), options=read_options,
@@ -204,6 +205,76 @@ class TestFormat:
         pts = ingest(write_bytes(tmp_path, b"\xef\xbb\xbf0.1,0,a\n1,0,b\n"), has_header=False)
         assert pts.points.tolist() == [[0.1, 0.0], [1.0, 0.0]]
         assert pts.labels.tolist() == [1, 2]
+
+
+class TestBlockBoundaries:
+    """Files cut into reads of a few characters: each read is completed to
+    its line end, so records, CRLFs and line numbers do not see the cuts."""
+
+    @staticmethod
+    def both(path, chars, **kw):
+        with mock.patch.object(dataio, "_BLOCK_CHARS", chars):
+            got = outcome(ingest, path, **kw)
+        assert got == outcome(reference_ingest, path, **kw)
+        return got
+
+    def test_crlf_split_across_two_reads(self, tmp_path):
+        data = b"x,y,label\r\n0,0,a\r\n1,0,b\r\n2,zz,a\r\n"
+        path = write_bytes(tmp_path, data)
+        for chars in (10, 17):  # each read ends just after a CR
+            assert data.decode()[:chars].endswith("\r")
+            assert self.both(path, chars) == (ParseError, "line 4: cannot parse coordinates '2', 'zz'")
+        assert self.both(path, 1) == self.both(path, 1 << 16)
+
+    def test_lone_cr_file_without_lf(self, tmp_path):
+        path = write_bytes(tmp_path, b"x,y,label\r0,0,a\r\r1,0.5,b\r2,0,a\r")
+        for chars in (1, 4, 9, 10, 1 << 16):
+            pts, labels = self.both(path, chars)
+            assert np.frombuffer(pts).tolist() == [0, 0, 1, 0.5, 2, 0]
+            assert labels == [1, 2, 1]
+
+    def test_no_final_line_break(self, tmp_path):
+        path = write_bytes(tmp_path, b"x,y,label\n0,0,a\n1,0,b")
+        for chars in (1, 6, 16, 1 << 16):
+            assert self.both(path, chars)[1] == [1, 2]
+        path = write_bytes(tmp_path, b"x,y,label\n0,0,a\n1,0")
+        for chars in (1, 6, 16, 1 << 16):
+            assert self.both(path, chars) == (ParseError, "line 3: expected 3 columns, got 2")
+
+    def test_first_quote_in_a_later_block_keeps_line_numbers(self, tmp_path):
+        rows = [f"{i},0,{'ab'[i % 2]}" for i in range(20)]
+        rows[12] = '12,"0        \n",a'  # one record over two lines
+        rows[15] = "15,0"
+        path = write_bytes(tmp_path, ("x,y,l\n" + "\n".join(rows) + "\n").encode())
+        for chars in (1, 16, 64, 1 << 16):
+            assert self.both(path, chars) == (ParseError, "line 17: expected 3 columns, got 2")
+        old_limit = csv.field_size_limit(8)
+        try:
+            for chars in (16, 64):
+                assert self.both(path, chars) == (
+                    ParseError, f"{path}: line 14: field larger than field limit (8)"
+                )
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("delimiter", ["§", "\u2192", ";"])
+    def test_non_ascii_delimiter_and_labels(self, tmp_path, delimiter):
+        rows = ["x", "y", "label"], ["0", "0", "é"], ["1", " 2 ", "日本"], ["2", "0", " é"]
+        text = "\n".join(delimiter.join(r) for r in rows) + "\n"
+        path = write_bytes(tmp_path, text.encode())
+        for chars in (1, 5, 1 << 16):
+            pts, labels = self.both(path, chars, delimiter=delimiter)
+            assert np.frombuffer(pts).tolist() == [0, 0, 1, 2, 2, 0]
+            assert labels == [1, 2, 1]
+        # the block's shape is recognized: no record is read row by row
+        with mock.patch.object(dataio._Columns, "add_rows", side_effect=AssertionError):
+            assert ingest(path, delimiter=delimiter).n == 3
+        bad = text + delimiter.join(["3", "0", "é", "x"]) + "\n"
+        path = write_bytes(tmp_path, bad.encode())
+        for chars in (1, 5, 1 << 16):
+            assert self.both(path, chars, delimiter=delimiter) == (
+                ParseError, "line 5: expected 3 columns, got 4"
+            )
 
 
 class TestBadInput:

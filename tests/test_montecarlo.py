@@ -284,6 +284,18 @@ class TestStoredReplications:
         assert montecarlo._qr_draws(40, 5)[0][0].size == 300
         assert got == [self.fresh(40, n_mc, 5) for n_mc in sizes]
 
+    def test_a_call_over_the_byte_budget_evicts_no_kept_key(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_QR_KEY_BYTES", 16 * 100)
+        drawn = self.count_draws(monkeypatch)
+        bound = montecarlo._QR_KEYS
+        for seed in range(bound):
+            estimate_qr(10, 50, seed)
+        del drawn[:]
+        estimate_qr(10, 200, 99)  # over the budget, on a key not kept
+        estimate_qr(10, 50, 0)  # the least recent kept key
+        assert drawn == [(10, 99, 0, 200)]
+        assert montecarlo._qr_draws.cache_info().currsize == bound
+
     def test_bad_arguments_raise_on_a_stored_key(self):
         estimate_qr(20, 50, 1)
         with pytest.raises(InvalidArgumentError, match="n_mc"):
