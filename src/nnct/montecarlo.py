@@ -12,7 +12,6 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -412,26 +411,13 @@ def _qr_chunk(n: int, seed: int, lo: int, hi: int):
     return qs, rs
 
 
-class _Draws(list):
-    """A list that a weak reference can point to."""
-
-    __slots__ = ("__weakref__",)
-
-
-# the lists that ``_qr_draws`` holds, by (n, seed), read without taking a
-# slot of its store or moving a key up in it
-_kept_draws: WeakValueDictionary[tuple[int, int], _Draws] = WeakValueDictionary()
-
-
 @lru_cache(maxsize=_QR_KEYS)
 def _qr_draws(n: int, seed: int) -> list:
     """The Q/n and R/n of the replications of ``estimate_qr(n, ., seed)``
     kept so far in this process: a one-item list holding a ``(qs, rs)``
-    pair of float64 arrays over replications [0, len(qs)), empty at first.
-    ``estimate_qr`` replaces the pair by a longer one in one assignment,
-    while it fits ``_QR_KEY_BYTES``."""
-    _kept_draws[n, seed] = draws = _Draws([(np.empty(0), np.empty(0))])
-    return draws
+    pair of float64 arrays over replications [0, len(qs)), empty at first,
+    that ``estimate_qr`` replaces by a longer one in one assignment."""
+    return [(np.empty(0), np.empty(0))]
 
 
 def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
@@ -443,28 +429,23 @@ def estimate_qr(n: int, n_mc: int, seed: int, workers: int = 1) -> QREstimate:
     last ``_QR_KEYS`` (n, seed) pairs (``_qr_draws``, 16 bytes each, up to
     ``_QR_KEY_BYTES`` per pair): a later call draws only the replications
     beyond them, in chunks from the first one missing, and a shorter one
-    reads a prefix.  A call that would keep more than the budget reads the
-    stored prefix, if any, and keeps it as it is; it adds no key to the
-    store, so it evicts none.  The estimate is bit-reproducible for a fixed
-    seed at any worker count and call order.
+    reads a prefix.  A call over the budget draws all of its replications
+    and touches no key.  The estimate is bit-reproducible for a fixed seed
+    at any worker count and call order.
     """
     n = check_count(n, "n", 2)
     n_mc = check_count(n_mc, "n_mc", 1)
     workers = check_count(workers, "workers", 1)
     seed = check_seed(seed)
     fits = 16 * n_mc <= _QR_KEY_BYTES  # the float64 Q/n and R/n of n_mc replications
-    if fits:
-        stored = _qr_draws(n, seed)
-    else:
-        stored = _kept_draws.get((n, seed), [(np.empty(0), np.empty(0))])
+    stored = _qr_draws(n, seed) if fits else [(np.empty(0), np.empty(0))]
     # local arrays only: another thread may replace the stored pair meanwhile
     qs, rs = stored[0]
     if qs.size < n_mc:
         parts = _run_chunks(partial(_qr_chunk, n, seed), qs.size, n_mc, workers)
         qs = np.concatenate([qs, *(p[0] for p in parts)])
         rs = np.concatenate([rs, *(p[1] for p in parts)])
-        if fits:
-            stored[0] = qs, rs
+        stored[0] = qs, rs
     qs, rs = qs[:n_mc], rs[:n_mc]
     se_q = float(qs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     se_r = float(rs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
@@ -522,6 +503,7 @@ def adjusted_qr(n: int, source: str, n_mc: int, seed: int,
     points: CSR expectations of Q/n and R/n times n, estimated by
     ``estimate_qr(n, n_mc, seed, workers)`` ("estimate") or the large-n
     ratios ``CSR_Q_PER_POINT`` and ``CSR_R_PER_POINT`` ("asymptotic")."""
+    n = check_count(n, "n", 2)
     if source == "asymptotic":
         return CSR_Q_PER_POINT * n, CSR_R_PER_POINT * n
     if source != "estimate":

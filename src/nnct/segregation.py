@@ -114,14 +114,13 @@ def _statistic_only(flavor, counts, sigma):
     n1, n2 = int(rows[0, 0]), int(rows[0, 1])
     n = n1 + n2
     b = counts.shape[0]
-    sigma = np.broadcast_to(sigma, (b, 4, 4))
     cells = counts.reshape(b, 4).astype(float)
     c1, c2 = counts[:, 0, 0] + counts[:, 1, 0], counts[:, 0, 1] + counts[:, 1, 1]
     bad = np.zeros(b, dtype=bool)  # undefined although the value may be finite
 
     if flavor == FLAVOR_DIXON:
         expected = expected_counts(n1, n2, n)
-        stat, full = _range_form(sigma[:, 0, 0], sigma[:, 0, 3], sigma[:, 3, 3],
+        stat, full = _range_form(sigma[..., 0, 0], sigma[..., 0, 3], sigma[..., 3, 3],
                                  cells[:, 0] - expected[0, 0], cells[:, 3] - expected[1, 1])
         bad = ~full
     elif flavor in (FLAVOR_I, FLAVOR_II, FLAVOR_III):
@@ -152,15 +151,15 @@ def _statistic_only(flavor, counts, sigma):
             scale = 1
         oo, o11, o22 = o1 * o2, o1 * o1, o2 * o2
         s = sigma
-        g11 = o22 * s[:, 0, 0] - 2 * oo * s[:, 0, 1] + o11 * s[:, 1, 1]
-        g12 = o22 * s[:, 0, 2] - oo * (s[:, 0, 3] + s[:, 1, 2]) + o11 * s[:, 1, 3]
-        g22 = o22 * s[:, 2, 2] - 2 * oo * s[:, 2, 3] + o11 * s[:, 3, 3]
+        g11 = o22 * s[..., 0, 0] - 2 * oo * s[..., 0, 1] + o11 * s[..., 1, 1]
+        g12 = o22 * s[..., 0, 2] - oo * (s[..., 0, 3] + s[..., 1, 2]) + o11 * s[..., 1, 3]
+        g22 = o22 * s[..., 2, 2] - 2 * oo * s[..., 2, 3] + o11 * s[..., 3, 3]
         stat = _range_form(g11 / r1, g12 / np.sqrt(r1 * r2), g22 / r2,
                            p1 / np.sqrt(r1), p2 / np.sqrt(r2))[0] / scale
     elif flavor in CELL_FLAVORS:
         pos = CELL_FLAVORS.index(flavor)
         expected = expected_counts(n1, n2, n).ravel()[pos]
-        var = sigma[:, pos, pos]
+        var = sigma[..., pos, pos]
         bad = ~(var > 0.0)
         stat = (cells[:, pos] - expected) / np.sqrt(np.where(bad, 1.0, var))
     else:
@@ -169,9 +168,12 @@ def _statistic_only(flavor, counts, sigma):
 
 
 def _single(flavor, nnct, cov_model):
+    sigma = np.asarray(cov_model.sigma_full)
+    if sigma.shape != (4, 4):
+        raise InvalidInputError("the model's covariance must be one 4x4 matrix")
     if tuple(cov_model.expected.sum(axis=1)) != nnct.row_sums:  # expected rows sum exactly
         raise InvalidInputError("the model's class sizes differ from the table's row sums")
-    stat = float(_statistic_only(flavor, nnct.counts[None], cov_model.sigma_full)[0])
+    stat = float(_statistic_only(flavor, nnct.counts[None], sigma)[0])
     if np.isnan(stat):
         raise DegenerateTestError(
             f"{flavor} is undefined for this table: a zero variance or margin, "

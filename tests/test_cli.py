@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from nnct.report import AnalysisReport
 from conftest import DATA_DIR, mutual_pairs, pair_points
 
 FIXTURE = str(DATA_DIR / "artificial_100.csv")
+GOLDEN = json.loads((DATA_DIR / "analyze_digests.json").read_text(encoding="utf-8"))
 
 
 def write(tmp_path, text, name="pts.csv"):
@@ -90,6 +92,12 @@ class TestAnalyze:
         code = main(["analyze", *argv])
         assert code == 0
         return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("case", GOLDEN["analyze"], ids=lambda case: case["id"])
+    def test_output_matches_its_golden_digest(self, capsys, case):
+        assert main(["analyze", FIXTURE, *case["args"]]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
 
     def test_adjusted_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
         def never(*args, **kwargs):

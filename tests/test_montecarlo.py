@@ -196,6 +196,13 @@ class TestEstimateQR:
         with pytest.raises(InvalidInputError, match="workers"):
             adjusted_qr(10, "estimate", 20, 1, workers=workers)
 
+    # the "asymptotic" source used to scale any n, or fail in the multiply
+    @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
+    @pytest.mark.parametrize("n", [2.5, -3, "7", 1])
+    def test_bad_n_raises_for_every_source(self, source, n):
+        with pytest.raises(InvalidArgumentError, match="n must be"):
+            adjusted_qr(n, source, 10, 1)
+
     def test_one_estimate_per_total_n(self, monkeypatch):
         calls = []
 
@@ -278,9 +285,10 @@ class TestStoredReplications:
         drawn = self.count_draws(monkeypatch)
         sizes = (250, 400, 200, 300)
         got = [estimate_qr(40, n_mc, 5) for n_mc in sizes]
-        # 400 replications exceed the budget: the 250 stay stored and serve
-        # the 200; the 300 fit and are stored
-        assert drawn == [(40, 5, 0, 250), (40, 5, 250, 400), (40, 5, 250, 300)]
+        # 400 replications exceed the budget: they are all drawn and the
+        # stored 250 stay as they are, to serve the 200; the 300 fit and
+        # are stored
+        assert drawn == [(40, 5, 0, 250), (40, 5, 0, 400), (40, 5, 250, 300)]
         assert montecarlo._qr_draws(40, 5)[0][0].size == 300
         assert got == [self.fresh(40, n_mc, 5) for n_mc in sizes]
 

@@ -338,6 +338,18 @@ class TestKernel:
             with pytest.raises(InvalidInputError, match="row sums"):
                 test(table, model)
 
+    @pytest.mark.parametrize("test", [dixon_overall, version_I, version_II, version_III,
+                                      lambda t, m: cell_specific_test(t, m, 1, 1)],
+                             ids=["dixon", "I", "II", "III", "cell_11"])
+    def test_a_model_that_is_not_one_4x4_matrix_is_refused(self, test):
+        # a stack of covariances would score its first matrix without error
+        table = ContingencyTable(np.array([[35, 25], [20, 20]]))
+        model = covariance_model(60, 40, 100, 63, 62)
+        for sigma in (np.stack([model.sigma_full] * 2), model.sigma_full[:3, :3],
+                      model.sigma_full.ravel()):
+            with pytest.raises(InvalidInputError, match="one 4x4 matrix"):
+                test(table, CovarianceModel(expected=model.expected, sigma_full=sigma))
+
 
 def spectral_form(flavor, counts, sigma):
     """vec' m^+ vec of versions I-III through the spectral pseudo-inverse of
