@@ -150,13 +150,15 @@ class SimulationConfig:
 
     def __post_init__(self):
         size_band(self.alpha, self.n_mc)  # the rule for alpha and n_mc
-        # reports write alpha to JSON and CSV: a numpy scalar or a Fraction
-        # becomes a float, a Python int or float is kept as given
+        # reports write these to JSON and CSV: counts are stored as Python ints,
+        # and alpha as given if it is a Python int or float, else as a float
         if type(self.alpha) not in (int, float):
             object.__setattr__(self, "alpha", float(self.alpha))
-        check_seed(self.seed)
-        check_count(self.parallelism, "workers", 1)
-        check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1)
+        object.__setattr__(self, "n_mc", check_count(self.n_mc, "n_mc", 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "parallelism", check_count(self.parallelism, "workers", 1))
+        object.__setattr__(self, "qr_estimate_nmc",
+                           check_count(self.qr_estimate_nmc, "qr_estimate_nmc", 1))
         if self.adjusted_source not in ("estimate", "asymptotic"):
             raise InvalidArgumentError(f"unknown adjusted_source {self.adjusted_source!r}")
 
@@ -521,43 +523,44 @@ def _combo_index(n1: int, n2: int) -> int | None:
 
 def _study(kind_params, combos, config: SimulationConfig, report_kind: str):
     band = size_band(config.alpha, config.n_mc)
-    # every block's arguments are checked before the first replication
-    for kind, param in kind_params:
-        for n1, n2 in combos:
-            PatternSpec(kind, n1, n2, param)
-            if n1 + n2 < 4:  # the covariance model's minimum
-                raise InvalidArgumentError(
-                    f"combo ({n1}, {n2}) has n = {n1 + n2}; the tests need n >= 4")
+    combos = list(combos)  # an iterator is read once, not once per alternative
+    # every block is checked before the first replication; it runs and reports
+    # from its checked spec, whose class sizes are Python ints
+    specs = [PatternSpec(kind, n1, n2, param) for kind, param in kind_params for n1, n2 in combos]
+    if not specs:
+        raise InvalidArgumentError("need at least one combo")
+    for spec in specs:
+        if spec.n1 + spec.n2 < 4:  # the covariance model's minimum
+            raise InvalidArgumentError(f"combo ({spec.n1}, {spec.n2}) has n = "
+                                       f"{spec.n1 + spec.n2}; the tests need n >= 4")
     # the adjusted Q and R depend on n only: one estimate per distinct n
     adjusted = {
         n: adjusted_qr(n, config.adjusted_source, config.qr_estimate_nmc,
                        config.seed, config.parallelism)
-        for n in dict.fromkeys(n1 + n2 for n1, n2 in combos)
+        for n in dict.fromkeys(spec.n1 + spec.n2 for spec in specs)
     }
     rows = []
-    for alt_kind, param in kind_params:
-        for n1, n2 in combos:
-            q_hat, r_hat = adjusted[n1 + n2]
-            worker = partial(
-                _rejection_chunk, alt_kind, param, n1, n2,
-                config.seed, config.alpha, q_hat, r_hat,
-            )
-            rej, degenerate = sum(_run_chunks(worker, 0, config.n_mc, config.parallelism))
-            for m, mode in enumerate(QR_MODES):
-                for t, flavor in enumerate(OVERALL_FLAVORS):
-                    rate = float(rej[t, m]) / config.n_mc
-                    se = float(np.sqrt(rate * (1.0 - rate) / config.n_mc))
-                    rows.append(SizePowerRow(
-                        n1=n1, n2=n2, combo_index=_combo_index(n1, n2),
-                        alternative=None if alt_kind == "csr" else alt_kind,
-                        param=None if alt_kind == "csr" else param,
-                        flavor=flavor, qr_mode=mode,
-                        q_hat=q_hat if mode == "adjusted" else None,
-                        r_hat=r_hat if mode == "adjusted" else None,
-                        rejection_rate=rate, mc_se=se,
-                        flag=_band_flag(rate, band),
-                        n_degenerate=int(degenerate[t, m]),
-                    ))
+    for spec in specs:
+        q_hat, r_hat = adjusted[spec.n1 + spec.n2]
+        worker = partial(_rejection_chunk, spec.kind, spec.param, spec.n1, spec.n2,
+                         config.seed, config.alpha, q_hat, r_hat)
+        rej, degenerate = sum(_run_chunks(worker, 0, config.n_mc, config.parallelism))
+        alternative = None if spec.kind == "csr" else spec.kind
+        for m, mode in enumerate(QR_MODES):
+            for t, flavor in enumerate(OVERALL_FLAVORS):
+                rate = float(rej[t, m]) / config.n_mc
+                se = float(np.sqrt(rate * (1.0 - rate) / config.n_mc))
+                rows.append(SizePowerRow(
+                    n1=spec.n1, n2=spec.n2, combo_index=_combo_index(spec.n1, spec.n2),
+                    alternative=alternative,
+                    param=None if alternative is None else spec.param,
+                    flavor=flavor, qr_mode=mode,
+                    q_hat=q_hat if mode == "adjusted" else None,
+                    r_hat=r_hat if mode == "adjusted" else None,
+                    rejection_rate=rate, mc_se=se,
+                    flag=_band_flag(rate, band),
+                    n_degenerate=int(degenerate[t, m]),
+                ))
     return SizePowerReport(
         kind=report_kind, alpha=config.alpha, n_mc=config.n_mc,
         seed=config.seed, band=band, rows=tuple(rows),

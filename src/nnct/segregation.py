@@ -107,6 +107,7 @@ def _statistic_only(flavor, counts, sigma):
     quadratic form).  Each value depends only on its own table and
     covariance.  Cell flavors give the signed Z.
     """
+    # int64 cells: (n11 - n12) * (n - 1) below overflows int32 at large n
     counts = np.asarray(counts, dtype=np.int64)
     rows = counts.sum(axis=2)
     if (rows != rows[0]).any():
@@ -114,14 +115,14 @@ def _statistic_only(flavor, counts, sigma):
     n1, n2 = int(rows[0, 0]), int(rows[0, 1])
     n = n1 + n2
     b = counts.shape[0]
-    cells = counts.reshape(b, 4).astype(float)
-    c1, c2 = counts[:, 0, 0] + counts[:, 1, 0], counts[:, 0, 1] + counts[:, 1, 1]
+    n11, n12, n21, n22 = counts.reshape(b, 4).T
+    c1, c2 = n11 + n21, n12 + n22
     bad = np.zeros(b, dtype=bool)  # undefined although the value may be finite
 
     if flavor == FLAVOR_DIXON:
         expected = expected_counts(n1, n2, n)
         stat, full = _range_form(sigma[..., 0, 0], sigma[..., 0, 3], sigma[..., 3, 3],
-                                 cells[:, 0] - expected[0, 0], cells[:, 3] - expected[1, 1])
+                                 n11 - expected[0, 0], n22 - expected[1, 1])
         bad = ~full
     elif flavor in (FLAVOR_I, FLAVOR_II, FLAVOR_III):
         # vec' m^+ vec on the range of m, the covariance of vec: sigma for
@@ -133,7 +134,6 @@ def _statistic_only(flavor, counts, sigma):
         # G_ij = w_i' sigma w_j / sqrt(r_i r_j), y_i = p_i / sqrt(r_i) and
         # r = (n1, n2) for I and II, (1, 1) for III; the projections'
         # numerators p are integers, so a vec in the null space scores 0.
-        n11, n12, n21, n22 = counts.reshape(b, 4).T
         if flavor == FLAVOR_III:
             # T_ij = N_ij - w_ij C_j against sigma itself
             o1 = o2 = r1 = r2 = 1
@@ -161,10 +161,15 @@ def _statistic_only(flavor, counts, sigma):
         expected = expected_counts(n1, n2, n).ravel()[pos]
         var = sigma[..., pos, pos]
         bad = ~(var > 0.0)
-        stat = (cells[:, pos] - expected) / np.sqrt(np.where(bad, 1.0, var))
+        stat = ((n11, n12, n21, n22)[pos] - expected) / np.sqrt(np.where(bad, 1.0, var))
     else:
         raise InvalidArgumentError(f"unknown test flavor {flavor!r}")
     return np.where(bad | ~np.isfinite(stat), np.nan, stat)
+
+
+def _check_alternative(alternative):
+    if alternative not in ("two-sided", "greater", "less"):
+        raise InvalidArgumentError(f"unknown alternative {alternative!r}")
 
 
 def _single(flavor, nnct, cov_model):
@@ -195,16 +200,13 @@ def cell_specific_test(
     """
     if i not in (1, 2) or j not in (1, 2):
         raise InvalidArgumentError(f"cell indices must be 1 or 2, got ({i}, {j})")
+    _check_alternative(alternative)
     flavor = CELL_FLAVORS[2 * (i - 1) + (j - 1)]
     z = _single(flavor, nnct, cov_model)
     if alternative == "two-sided":
         p = 2.0 * normal_sf(abs(z))
-    elif alternative == "greater":
-        p = normal_sf(z)
-    elif alternative == "less":
-        p = normal_sf(-z)
     else:
-        raise InvalidArgumentError(f"unknown alternative {alternative!r}")
+        p = normal_sf(z if alternative == "greater" else -z)
     return TestResult(flavor, z, None, min(p, 1.0))
 
 
@@ -250,6 +252,7 @@ def run_battery_from_table(
     """All four overall tests plus the four cell Z tests from a table and
     the Q and R its variances use (no coordinates needed): the table's own
     digraph statistics, or substituted CSR expectations."""
+    _check_alternative(alternative)
     n1, n2 = nnct.row_sums
     model = covariance_model(n1, n2, nnct.total, q, r)
     results = [
@@ -290,10 +293,10 @@ _PERM_BLOCK_ENTRIES = 1 << 18
 # 64 kB up to n = 8192 and is one row above it (256 kB draws ran faster but
 # raised the peak RSS by ~0.4 MB); no p-value depends on it
 _PERM_DRAW_ENTRIES = 1 << 13
-# stored tables scored at once, ~290 bytes of temporaries each: on 99999
-# tables (n = 1000, 2-vCPU Xeon, numpy 2.4) version_I took 32.2, 20.1 and
-# 16.4 ms with 2^10, 2^12 and 2^14 (peaks 0.3, 1.2 and 4.6 MiB) and 28 ms
-# with 2^16; no p-value depends on it
+# stored tables scored at once, at most ~260 bytes of temporaries each
+# (version_I): on 99999 tables (n = 1000, 2-vCPU Xeon, numpy 2.4) version_I
+# took 15.6, 10.9, 13.6 and 14.8 ms with 2^10, 2^12, 2^14 and 2^16 (peaks
+# 0.3, 1.1, 4.2 and 16.3 MiB); no p-value depends on it
 _PERM_SCORE_TABLES = 1 << 12
 # a permuted statistic within this relative distance below the observed one
 # counts as a tie: equal statistics of different tables can round ulps apart
@@ -305,14 +308,14 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
     """The part of a permutation p-value that no flavor changes, for the
     set whose float64 ``(n, 2)`` coordinates and bool class-1 flags have the
     bytes ``coords`` and ``flags``: its 4x4 cell-count covariance at its
-    own Q and R, its observed table, and the column-1 counts (N11, N21) of
-    each of the ``n_perm`` permuted tables, as an ``(n_perm, 2)`` int32
-    array (the row sums are the class sizes).  Keyed by content, so a set
-    whose points or labels change in place misses; the last run stays held.
+    own Q and R, its observed table, and the ``n_perm`` permuted tables, as
+    an ``(n_perm, 2, 2)`` int32 array.  Each array is read-only.  Keyed by
+    content, so a set whose points or labels change in place misses; the
+    last run stays held.
 
     Each 64-permutation block is one job of ``geometry._shared``: it draws
     its labelings from its own generator and tabulates them into its own
-    rows of the counts, with buffers of its own, so that the counts do not
+    rows of the tables, with buffers of its own, so that the tables do not
     depend on which thread ran which block.
     """
     from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
@@ -334,11 +337,11 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
     # 2*10^5 labels (n_perm * n), so a run of one tabulation batch stays serial
     serial = draw_rows >= _PERM_BLOCK or n_perm <= rows
     cpus = 1 if serial else min(geometry._search_cpus(), blocks)
-    col1 = np.empty((n_perm, 2), dtype=np.int32)
+    tables = np.empty((n_perm, 2, 2), dtype=np.int32)
 
     def block(job):
         """Draw the permutations of the block starting at ``lo`` from its
-        generator and tabulate them into their rows of ``col1``."""
+        generator and tabulate them into their rows of ``tables``."""
         lo, rng = job
         stop = min(lo + _PERM_BLOCK, n_perm)
         labels = np.empty((min(rows, stop - lo), n), dtype=bool)
@@ -349,13 +352,13 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
                 out = drawn[:min(draw_rows, len(part) - d)]
                 rng.permuted(np.broadcast_to(class1, out.shape), axis=1, out=out)
                 np.equal(out, 1, out=part[d:d + len(out)])
-            col1[start:start + len(part)] = tabulate_pairs(part, nn)[:, :, 0]
+            tables[start:start + len(part)] = tabulate_pairs(part, nn)
 
     streams = _streams((seed, _STREAM_PERM), 0, blocks)
     geometry._shared(block, zip(range(0, n_perm, _PERM_BLOCK), streams), cpus)
-    for a in (sigma, observed, col1):
+    for a in (sigma, observed, tables):
         a.flags.writeable = False  # shared by every later call with this key
-    return sigma, observed, col1
+    return sigma, observed, tables
 
 
 def permutation_pvalue(
@@ -390,7 +393,7 @@ def permutation_pvalue(
     (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
     and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
     GIL) each draw and tabulate whole blocks into the blocks' own rows of
-    the stored counts.  So no p-value depends on the thread count, and each
+    the stored tables.  So no p-value depends on the thread count, and each
     thread holds one tabulation batch and one draw sub-block at a time.
 
     The permuted tables do not depend on the flavor, so the last run is
@@ -398,18 +401,17 @@ def permutation_pvalue(
     ``seed`` only scores the stored tables, ``_PERM_SCORE_TABLES`` at a
     time.  Until a call with another of those keys replaces it, the run
     holds a copy of the coordinates and class-1 flags (17 bytes per point)
-    and two int32 counts per permutation (8 bytes each).
+    and each permuted table as four int32 cells (16 bytes per permutation).
     """
     if flavor not in OVERALL_FLAVORS + CELL_FLAVORS:
         raise InvalidArgumentError(f"unknown test flavor {flavor!r}")
     n_perm = check_count(n_perm, "n_perm", 99)
     seed = check_seed(seed)
-    flags = pts.labels == 1
-    n = pts.n
-    n1 = int(np.count_nonzero(flags))
-    if n1 == 0 or n1 == n:
-        raise InvalidInputError(f"both classes need members, got class sizes ({n1}, {n - n1})")
-    sigma, table, col1 = _permutation_run(pts.points.tobytes(), flags.tobytes(), n_perm, seed)
+    n1, n2 = pts.class_sizes
+    if n1 == 0 or n2 == 0:
+        raise InvalidInputError(f"both classes need members, got class sizes ({n1}, {n2})")
+    flags = (pts.labels == 1).tobytes()
+    sigma, table, tables = _permutation_run(pts.points.tobytes(), flags, n_perm, seed)
 
     def extremeness(counts):
         stats = _statistic_only(flavor, counts, sigma)
@@ -419,15 +421,8 @@ def permutation_pvalue(
     if np.isnan(observed):
         raise DegenerateTestError(f"{flavor} is undefined for the observed labeling")
     threshold = observed - _TIE_RTOL * abs(observed)
-    # score the tables in slices, rebuilt from the stored column 1 and the
-    # row sums; NaN compares False
-    rows = _PERM_SCORE_TABLES
-    tables = np.empty((min(rows, n_perm), 2, 2), dtype=np.int64)
     at_least = 0
-    for lo in range(0, n_perm, rows):
-        part = col1[lo:lo + rows]
-        batch = tables[:len(part)]
-        batch[:, :, 0] = part
-        np.subtract((n1, n - n1), part, out=batch[:, :, 1])
-        at_least += int(np.count_nonzero(extremeness(batch) >= threshold))
+    for lo in range(0, n_perm, _PERM_SCORE_TABLES):
+        stats = extremeness(tables[lo:lo + _PERM_SCORE_TABLES])
+        at_least += int(np.count_nonzero(stats >= threshold))  # NaN compares False
     return (1 + at_least) / (1 + n_perm)

@@ -17,6 +17,17 @@ ARTI_Q, ARTI_R = 70, 60
 ARTI_Q_ADJ, ARTI_R_ADJ = 63.37, 62.17
 
 
+def pytest_report_header(config):
+    """The stack a golden digest depends on, so that a digest that differs
+    on one test row can be traced to its versions from the log alone."""
+    import scipy
+
+    from nnct import geometry
+
+    return (f"nnct stack: numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"search cpus {geometry._search_cpus()}")
+
+
 @pytest.fixture(autouse=True)
 def no_stored_draws():
     """Every test starts without a stored permutation run or Q/R

@@ -31,6 +31,11 @@ from conftest import DATA_DIR, mutual_pairs, pair_points
 
 FIXTURE = str(DATA_DIR / "artificial_100.csv")
 GOLDEN = json.loads((DATA_DIR / "analyze_digests.json").read_text(encoding="utf-8"))
+RUNS = json.loads((DATA_DIR / "run_digests.json").read_text(encoding="utf-8"))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def write(tmp_path, text, name="pts.csv"):
@@ -97,7 +102,7 @@ class TestAnalyze:
     def test_output_matches_its_golden_digest(self, capsys, case):
         assert main(["analyze", FIXTURE, *case["args"]]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
+        assert sha256(out.encode("utf-8")) == case["sha256"]
 
     def test_adjusted_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -592,6 +597,46 @@ def test_outputs_do_not_depend_on_workers_or_processes(tmp_path, monkeypatch, ca
     assert found["separate1"].items() <= found["one1"].items()
 
 
+@pytest.fixture(scope="module")
+def generated_sets(tmp_path_factory) -> dict[str, str]:
+    """The paths of four generated point files: 3*10^4 CSR points, a
+    shuffled 200x200 grid, 3000 points on two sites and 3*10^4 rounded
+    points that share x values."""
+    folder = tmp_path_factory.mktemp("sets")
+    csr, grid, dup, rounded = map(np.random.default_rng, range(20, 24))
+    cell, site = grid.permutation(40000), np.r_[0, 1, 0, 1, dup.integers(0, 2, 3000)[4:]]
+    paths = {name: str(folder / f"{name}.csv") for name in ("csr", "grid", "dup", "rounded")}
+    for path, rows in zip(paths.values(), [
+            [csr.random((30000, 2)), csr.integers(1, 3, 30000)],
+            [cell // 200, cell % 200, grid.integers(1, 3, 40000)],
+            [np.array([[.25, .25], [.75, .75]])[site], np.r_[1, 2, dup.integers(1, 3, 3000)[2:]]],
+            [rounded.random((30000, 2)).round(6), rounded.integers(1, 3, 30000)]]):
+        np.savetxt(path, np.column_stack(rows), fmt=["%.17g", "%.17g", "%d"], delimiter=",",
+                   header="x,y,label", comments="")
+    return paths
+
+
+# Golden digests: a change that moves one of these outputs on purpose updates
+# tests/data/run_digests.json and lists every number that moved
+@pytest.mark.parametrize("case", RUNS["simulate"], ids=lambda case: case["id"])
+def test_study_files_match_their_golden_digests(tmp_path, capsys, case):
+    assert main([*case["args"], "--out", str(tmp_path / "report")]) == 0
+    assert {suffix: sha256((tmp_path / f"report{suffix}").read_bytes())
+            for suffix in case["sha256"]} == case["sha256"]
+
+
+def test_estimate_qr_matches_its_golden_digest(capsys):
+    case = RUNS["estimate-qr"]
+    assert main(case["args"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == case["sha256"]
+
+
+@pytest.mark.parametrize("case", RUNS["analyze"], ids=lambda case: case["id"])
+def test_analyze_on_a_generated_set_matches_its_golden_digest(generated_sets, capsys, case):
+    assert main(["analyze", generated_sets[case["id"]], "--cells"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == case["sha256"]
+
+
 # analyze --cells on each file; the 8 permutation p-values, warm and cold (drawn afresh)
 _CHILD = """import contextlib, io, json, sys, numpy as np, nnct.cli
 from nnct.segregation import CELL_FLAVORS, OVERALL_FLAVORS, _permutation_run
@@ -613,19 +658,8 @@ _PIN = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs to compare one against")
-def test_one_cpu_gives_the_bytes_of_all_cpus(tmp_path):
-    # 3*10^4 CSR points, a shuffled 200x200 grid, 3000 points on two sites and
-    # 3*10^4 rounded points that share x values
-    csr, grid, dup, rounded = map(np.random.default_rng, range(20, 24))
-    cell, site = grid.permutation(40000), np.r_[0, 1, 0, 1, dup.integers(0, 2, 3000)[4:]]
-    paths = [str(tmp_path / f"{name}.csv") for name in ("csr", "grid", "dup", "rounded")]
-    for path, rows in zip(paths, [
-            [csr.random((30000, 2)), csr.integers(1, 3, 30000)],
-            [cell // 200, cell % 200, grid.integers(1, 3, 40000)],
-            [np.array([[.25, .25], [.75, .75]])[site], np.r_[1, 2, dup.integers(1, 3, 3000)[2:]]],
-            [rounded.random((30000, 2)).round(6), rounded.integers(1, 3, 30000)]]):
-        np.savetxt(path, np.column_stack(rows), fmt=["%.17g", "%.17g", "%d"], delimiter=",",
-                   header="x,y,label", comments="")
+def test_one_cpu_gives_the_bytes_of_all_cpus(generated_sets):
+    paths = list(generated_sets.values())
     # the pinned child sets its own mask first, before numpy starts a thread
     children = [subprocess.Popen([sys.executable, "-c", pin + _CHILD, *paths], env=ENV,
                                  stdout=subprocess.PIPE) for pin in ("", _PIN)]

@@ -445,6 +445,14 @@ class TestSimulationConfig:
     def test_python_numbers_are_kept_as_given(self):
         assert type(SimulationConfig(n_mc=5, seed=1, alpha=0).alpha) is int
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        config = SimulationConfig(n_mc=np.int64(20), seed=np.int64(1), parallelism=np.int32(1),
+                                  qr_estimate_nmc=np.int64(20))
+        assert [type(getattr(config, name)) for name in
+                ("n_mc", "seed", "parallelism", "qr_estimate_nmc")] == [int] * 4
+        report = json.loads(empirical_size([(10, 10)], config).to_json())
+        assert (report["n_mc"], report["seed"]) == (20, 1)
+
     @pytest.mark.parametrize("source", ["estimate", "asymptotic"])
     def test_qr_estimate_nmc_below_one(self, source):
         with pytest.raises(InvalidInputError, match="qr_estimate_nmc must be >= 1"):
@@ -490,11 +498,28 @@ class TestEmpiricalSize:
     def test_argument_errors_are_invalid_input_errors(self):
         assert issubclass(InvalidArgumentError, InvalidInputError)
 
+    def test_combos_may_be_an_iterator(self):
+        config = SimulationConfig(n_mc=20, seed=1, qr_estimate_nmc=20)
+        combos = [(10, 10), (10, 30)]
+        assert (empirical_size(iter(combos), config).to_json()
+                == empirical_size(combos, config).to_json())
+        alternatives = [("segregation", 0.1), ("association", 0.2)]
+        power = empirical_power(alternatives, iter(combos), config)
+        assert len(power.rows) == 32  # 2 alternatives x 2 combos x 4 flavors x 2 modes
+        assert power.to_json() == empirical_power(alternatives, combos, config).to_json()
+
+    def test_numpy_integer_combos_reach_the_report_as_python_ints(self):
+        config = SimulationConfig(n_mc=20, seed=1, qr_estimate_nmc=20)
+        report = empirical_size([(np.int64(10), np.int64(10))], config)
+        assert {(type(r.n1), type(r.n2)) for r in report.rows} == {(int, int)}
+        assert report.to_json() == empirical_size([(10, 10)], config).to_json()
+
     @pytest.mark.parametrize("combos, match", [
         ([(1, 2)], r"combo \(1, 2\) has n = 3"),
         ([(10, 10), (0, 5)], "class sizes must be >= 1"),
         ([(5.5, 5)], "class sizes must be an integer"),
-    ], ids=["n-3", "class-0", "class-5.5"])
+        ([], "need at least one combo"),
+    ], ids=["n-3", "class-0", "class-5.5", "none"])
     def test_bad_combo_raises_before_any_replication(self, monkeypatch, combos, match):
         def never(*args):
             raise AssertionError("the study started before checking its arguments")

@@ -273,6 +273,19 @@ class TestBattery:
         for a, b in zip(run_battery(p), run_battery(moved)):
             assert a.statistic == b.statistic
 
+    def test_a_bad_alternative_is_refused_before_any_test(self):
+        # Dixon and the Z test of cell (1, 1) are undefined on this table
+        table = ContingencyTable.from_counts([[0, 1], [1, 8]])
+        model = covariance_model(1, 9, 10, 8.0, 6.0)
+        with pytest.raises(DegenerateTestError):
+            run_battery_from_table(table, 8.0, 6.0)
+        with pytest.raises(DegenerateTestError):
+            cell_specific_test(table, model, 1, 1)
+        with pytest.raises(InvalidArgumentError, match="unknown alternative 'bogus'"):
+            run_battery_from_table(table, 8.0, 6.0, alternative="bogus")
+        with pytest.raises(InvalidArgumentError, match="unknown alternative 'bogus'"):
+            cell_specific_test(table, model, 1, 1, "bogus")
+
     def test_from_table_matches_points_path(self, artificial_points, artificial_table):
         nns = compute_nn(artificial_points)
         via_pts = run_battery(artificial_points)
@@ -305,6 +318,17 @@ class TestKernel:
             ]
             assert np.isfinite(stacked).all()
             assert stacked.tobytes() == np.array(single).tobytes()
+
+    def test_int32_tables_score_as_int64_ones_at_large_n(self):
+        # stored permutation tables are int32; version III's (n11 - n12) * (n - 1)
+        # passes 2^31 here
+        counts = np.array([[[60000, 40000], [45000, 55000]]])
+        sigma = cell_covariance(100000, 100000, 200000, 126600.0, 124200.0)
+        for flavor in OVERALL_FLAVORS + CELL_FLAVORS:
+            wide = _statistic_only(flavor, counts, sigma)
+            narrow = _statistic_only(flavor, counts.astype(np.int32), sigma)
+            assert np.isfinite(wide).all()
+            assert narrow.tobytes() == wide.tobytes()
 
     def test_degenerate_table_is_nan_in_its_own_row_only(self):
         counts = np.array([[[6, 4], [3, 7]], [[10, 0], [10, 0]], [[5, 5], [4, 6]]])
@@ -715,6 +739,21 @@ class TestPermutation:
                 tracemalloc.stop()
         assert len(four_cpus) == 6  # 3 for the search's first round, 3 for the draw
         assert peaks[4] <= peaks[1] + 3 * 2**20
+
+    def test_the_stored_run_is_whole_tables_and_read_only(self):
+        pts = random_point_set(np.random.default_rng(89), 40, n1=16)
+        run = segregation._permutation_run(pts.points.tobytes(), (pts.labels == 1).tobytes(),
+                                           130, 5)
+        sigma, observed, tables = run
+        nns = compute_nn(pts)
+        assert np.array_equal(observed, build_nnct(pts, nns).counts)
+        assert tables.shape == (130, 2, 2) and tables.dtype == np.int32
+        assert np.array_equal(tables, [tabulate_pairs(labels, nns.nn_index)
+                                       for labels in perm_stream(5, pts.labels, 130)])
+        # every later flavor on this key scores these same arrays
+        for a in run:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
     @pytest.mark.parametrize("n", [60, 300])
     def test_the_flavors_of_one_run_draw_once(self, draws, n):
