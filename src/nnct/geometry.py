@@ -32,15 +32,19 @@ import numpy as np
 
 from .errors import InvalidInputError, check_integral, check_real_array
 
-# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17):
-# per set, brute force in 40-set stacks vs the kd-tree search, medians of
-# 21 rounds of alternating order in each of 3 processes: 138-178 vs
-# 170-234 us at n = 200, 179-240 vs 192-256 us at n = 224 (brute force
-# faster in 52 of 63 rounds), 215-273 vs 203-270 us at n = 240 (23 of 63)
-# and 247-321 vs 237-283 us at n = 256 (7 of 63).
-_BRUTE_FORCE_MAX = 224
+# Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17,
+# one BLAS thread): per set, brute force (matmul differences) in 40-set
+# stacks vs the kd-tree search, medians of 21 rounds of alternating order
+# in each of 3 processes: 180-188 vs 196-216 us at n = 256 (brute force
+# faster in 54 of 63 rounds), 166-182 vs 211-220 us at n = 272 (56 of 63),
+# 241-347 vs 223-332 us at n = 280 (10 of 63) and 331-354 vs 240-269 us
+# at n = 320 (2 of 63).
+_BRUTE_FORCE_MAX = 272
 # (sets x n x n) squared distances per block of the brute-force search:
-# 2^14 (128 kB temporaries) beat 2^12, 2^13 and 2^15 at n = 10-128
+# 2^14 (128 kB temporaries) beat 2^13 at n = 10-100; 2^15 was 35-65%
+# slower at n = 20 and 100 and 4-12% faster at n = 10 and 50, 2^16 30-120%
+# slower at n = 20-100 (stacks of 2048 // n sets, as the Monte Carlo engine
+# makes them, medians of 21 rounds of rotating order in each of 3 processes)
 _BRUTE_BLOCK_ENTRIES = 1 << 14
 # first candidate count of the site search: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
@@ -133,17 +137,36 @@ def _nn_brute(coords: np.ndarray) -> np.ndarray:
     Squared distances are ``dx*dx + dy*dy``.  The sets go through in blocks
     whose ``(sets, n, n)`` temporaries hold about ``_BRUTE_BLOCK_ENTRIES``
     entries.
+
+    Each coordinate's differences ``c_i - c_j`` come from one batched
+    ``np.matmul`` per block, of the rows ``(c_i, 1)`` by the columns
+    ``(1, -c_j)``, which runs one call per block where a broadcast
+    subtraction pays numpy's iterator overhead once per row.  The result is
+    the subtraction's to the bit: both products are exact, so the only
+    rounding is that of the two-term sum, fl(c_i - c_j), in either order,
+    with or without FMA.  Flush-to-zero could only change a difference
+    below ~2e-292, which squares to 0 either way, and a zero's sign is
+    squared away.  The rows are a transposed view of ``(sets, 3, n)``
+    storage ``(c, 1, -c)`` whose last two rows are the columns, so no
+    operand is copied.  The layout is chosen for speed only: with numpy 2.4
+    a 3000-point product maps OpenBLAS's work buffer in this layout, in a
+    contiguous one and in a negative-stride one alike, so no layout keeps
+    OpenBLAS out, and exactness does not depend on which loop runs.
     """
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
     nn = np.empty(flat.shape[:2], dtype=np.intp)
     step = max(1, _BRUTE_BLOCK_ENTRIES // (n * n))
     for start in range(0, flat.shape[0], step):
-        x = flat[start:start + step, :, 0]
-        y = flat[start:start + step, :, 1]
-        d2 = x[:, :, None] - x[:, None, :]
+        block = flat[start:start + step]
+        terms = np.empty((2, block.shape[0], 3, n))  # x, then y
+        terms[:, :, 0] = block.transpose(2, 0, 1)
+        terms[:, :, 1] = 1
+        np.negative(terms[:, :, 0], out=terms[:, :, 2])
+        rows, cols = terms[:, :, :2].swapaxes(-1, -2), terms[:, :, 1:]
+        d2 = np.matmul(rows[0], cols[0])
         d2 *= d2
-        dy = y[:, :, None] - y[:, None, :]
+        dy = np.matmul(rows[1], cols[1])
         dy *= dy
         d2 += dy
         d2.reshape(-1, n * n)[:, ::n + 1] = np.inf  # no point is its own NN
@@ -360,10 +383,12 @@ def digraph_q_r(nn: np.ndarray) -> tuple[np.ndarray, int | np.ndarray, int | np.
     n = nn.shape[-1]
     sets = nn.size // n
     # one bincount over all sets, each set's targets shifted into its own range
-    shifted = nn.reshape(sets, n) + np.arange(0, sets * n, n)[:, None]
-    indegree = np.bincount(shifted.ravel(), minlength=sets * n).reshape(nn.shape)
+    shifted = (nn.reshape(sets, n) + np.arange(0, sets * n, n)[:, None]).ravel()
+    indegree = np.bincount(shifted, minlength=sets * n).reshape(nn.shape)
     q = np.sum(indegree * (indegree - 1), axis=-1)
-    r = np.count_nonzero(np.take_along_axis(nn, nn, axis=-1) == np.arange(n), axis=-1)
+    # s is reflexive when nn(nn(s)) = s: one gather over the shifted targets
+    mutual = np.take(shifted, shifted) == np.arange(sets * n)
+    r = np.count_nonzero(mutual.reshape(nn.shape), axis=-1)
     if nn.ndim == 1:
         return indegree, int(q), int(r)
     return indegree, q, r

@@ -711,16 +711,32 @@ class TestShared:
 # engine makes it, must give each set's own lowest-index NN
 
 
+def offset_grid(rng, shape) -> np.ndarray:
+    """UTM-like coordinates: a grid of step 1e-3 to 0.3 placed 1e5 to 5e6
+    from the origin, each coordinate moved by up to 2 ulp, so that nearly
+    every difference rounds and many squared distances tie or nearly tie."""
+    offset = rng.uniform(1e5, 5e6, 2)
+    step = 10.0 ** rng.uniform(-3, np.log10(0.3))
+    c = offset + rng.integers(0, 8, shape) * step
+    return c + rng.integers(-2, 3, shape) * np.spacing(c)
+
+
 @st.composite
 def point_stacks(draw):
-    """A stack of equal-sized sets, random, gridded, duplicated or 1e-200
-    apart (squared distances underflow to 0), up to just past the cutover."""
+    """A stack of equal-sized sets, random, gridded, duplicated, 1e-200
+    apart (squared distances underflow to 0), rounded or on an offset grid,
+    up to just past the cutover."""
     n = draw(st.integers(2, _BRUTE_FORCE_MAX + 1))
     sets = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["random", "grid", "duplicates", "underflow"]))
+    kind = draw(st.sampled_from(
+        ["random", "grid", "duplicates", "underflow", "rounded", "offset"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         return rng.random((sets, n, 2))
+    if kind == "rounded":
+        return np.round(rng.random((sets, n, 2)), draw(st.integers(1, 3)))
+    if kind == "offset":
+        return offset_grid(rng, (sets, n, 2))
     if kind == "grid":
         return rng.integers(-6, 7, (sets, n, 2)).astype(float)
     if kind == "duplicates":
@@ -728,7 +744,37 @@ def point_stacks(draw):
     return rng.integers(-2, 3, (sets, n, 2)) * 1e-200
 
 
+@st.composite
+def rounding_stacks(draw):
+    """A stack of equal-sized sets whose differences ``c_i - c_j`` round, or
+    sit at the ends of the float range: offset grids, signed zeros, spreads
+    of 1e-310 (subnormal differences), spreads near 1e150 (squares near
+    1e300) and coordinates rounded to a few decimals."""
+    n = draw(st.integers(2, 150))
+    shape = (draw(st.integers(1, 4)), n, 2)
+    kind = draw(st.sampled_from(["offset", "signed_zeros", "subnormal", "huge", "rounded"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "offset":
+        return offset_grid(rng, shape)
+    if kind == "signed_zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 1e-300], shape)
+    if kind == "subnormal":
+        return rng.uniform(-1, 1, shape) * 1e-310
+    if kind == "huge":
+        return rng.uniform(-0.5, 0.5, shape) * 10.0 ** rng.uniform(149, 151)
+    return np.round(rng.uniform(-50, 50, shape), draw(st.integers(0, 3)))
+
+
 class TestStackedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(rounding_stacks())
+    def test_stacked_brute_rounds_as_subtraction_does(self, stack):
+        # the reference subtracts coordinates; the search must give its
+        # indices on every set, not only agree with the kd-tree
+        nn = _nn_brute(stack)
+        assert nn.shape == stack.shape[:-1]
+        assert np.array_equal(nn, np.stack([lowest_index_nn(c) for c in stack]))
+
     @settings(max_examples=120, deadline=None)
     @given(point_stacks())
     def test_stacked_brute_matches_kdtree_per_set(self, stack):

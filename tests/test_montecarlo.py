@@ -592,7 +592,9 @@ class TestStackedReplications:
     """The chunks search stacks of replications; each replication must still
     give what its own stream gives alone, on both sides of the cutover."""
 
-    @pytest.mark.parametrize("n", [2, 10, 50, _BRUTE_FORCE_MAX, _BRUTE_FORCE_MAX + 1, 300])
+    # 224 and 225 straddled an earlier cutover and stay as brute-force sizes
+    @pytest.mark.parametrize(
+        "n", [2, 10, 50, 224, 225, _BRUTE_FORCE_MAX, _BRUTE_FORCE_MAX + 1, 300])
     def test_qr_chunk_matches_per_replication_loop(self, n):
         got = _qr_chunk(n, 4, 37, 137)
         expected = reference_qr_chunk(n, 4, 37, 137)

@@ -17,10 +17,11 @@ def scipy_modules():
 
 print(nnct.__file__)
 print(scipy_modules())
-labels = np.repeat([1, 2], 150)
-nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(1).random((60, 2)), labels[120:180]))
+m = nnct.geometry._BRUTE_FORCE_MAX + 1  # the fewest points the kd-tree searches
+labels = np.resize([1, 2], m)
+nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(1).random((60, 2)), labels[:60]))
 print(scipy_modules())
-nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(2).random((300, 2)), labels))
+nnct.compute_nn(nnct.LabeledPointSet(np.random.default_rng(2).random((m, 2)), labels))
 print("scipy.spatial" in sys.modules)
 """
 
@@ -32,7 +33,7 @@ def test_import_loads_no_scipy_until_the_kdtree_runs():
     assert Path(out[0]).resolve().parent == SRC / "nnct"
     assert out[1] == "[]"  # after import nnct
     assert out[2] == "[]"  # after a brute-force search (n = 60)
-    assert out[3] == "True"  # the kd-tree search (n = 300) loaded scipy.spatial
+    assert out[3] == "True"  # the kd-tree search (n = m) loaded scipy.spatial
 
 
 _RANDOM_PROBE = """
