@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -67,15 +67,15 @@ class _Columns:
         self.labels.append(np.where(np.array(labs, dtype=object) == class_1, 1, 2))
         return True
 
-    def add_rows(self, first: int, rows) -> None:
-        """Append a block from its records as cell lists, the first of which
-        is line ``first``, or raise on the first one that is not blank and
+    def add_rows(self, linenos, rows) -> None:
+        """Append a block from its records as cell lists, which start on
+        lines ``linenos``, or raise on the first one that is not blank and
         not a data row of the two classes."""
         mapping = self.mapping
         xs: list[float] = []
         ys: list[float] = []
         codes: list[int] = []
-        for lineno, row in enumerate(rows, start=first):
+        for lineno, row in zip(linenos, rows):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 3:
@@ -101,18 +101,9 @@ class _Columns:
             self.labels.append(np.array(codes))
 
 
-def _csv_records(lines, delimiter: str, failure: list):
-    """Records of ``lines`` from one ``csv.reader``; a ``csv.Error`` ends
-    them and is put in ``failure``."""
-    try:
-        yield from csv.reader(lines, delimiter=delimiter)
-    except csv.Error as e:
-        failure.append(e)
-
-
 def _read(fh, path: str, delimiter: str, has_header: bool, cols: _Columns) -> None:
     """Feed every record of ``fh`` but the header to ``cols``."""
-    lineno = 0  # records read so far
+    lineno = 0  # lines read so far
     limit = csv.field_size_limit()
     # A block's record shape is read from its UTF-8 bytes with all but the
     # delimiters and LFs deleted.  No byte of another character equals an
@@ -145,25 +136,32 @@ def _read(fh, path: str, delimiter: str, has_header: bool, cols: _Columns) -> No
             del cells[-1]  # the empty one after the last LF
             if cols.add_columns(cells):
                 continue
-        cols.add_rows(first, map(str.split, text[:-1].split("\n"), repeat(delimiter)))
+        cols.add_rows(count(first), map(str.split, text[:-1].split("\n"), repeat(delimiter)))
     else:  # end of file, and no block needed csv.reader
         return
 
-    failure: list[csv.Error] = []
     # the block's lines, split like the file's, then the rest of the file
-    records = _csv_records(chain(io.StringIO(block, newline=""), fh), delimiter, failure)
+    reader = csv.reader(chain(io.StringIO(block, newline=""), fh), delimiter=delimiter)
     del block
-    while rows := list(islice(records, _BLOCK_ROWS)):
-        first = lineno + 1
-        lineno += len(rows)
-        if has_header and first == 1:
-            del rows[0]
-            first = 2
+    before, failure = lineno, None
+    while failure is None:
+        starts, rows = [], []  # a batch of records and the lines they start on
+        try:
+            for row in islice(reader, _BLOCK_ROWS):
+                starts.append(lineno + 1)
+                rows.append(row)
+                lineno = before + reader.line_num
+        except csv.Error as e:
+            failure = ParseError(f"{path}: line {lineno + 1}: {e}")
+        if not rows:
+            break
+        if has_header and starts[0] == 1:
+            del starts[0], rows[0]
         if set(map(len, rows)) == {3} and cols.add_columns(list(chain.from_iterable(rows))):
             continue
-        cols.add_rows(first, rows)
+        cols.add_rows(starts, rows)
     if failure:
-        raise ParseError(f"{path}: line {lineno + 1}: {failure[0]}")
+        raise failure
 
 
 def _undecodable(path: str) -> ParseError:

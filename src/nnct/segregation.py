@@ -286,13 +286,16 @@ def run_battery(
 # permutations per random stream: permutations 64b .. 64b + 63 draw from
 # one generator keyed by (seed, montecarlo._STREAM_PERM, b)
 _PERM_BLOCK = 64
-# permuted labelings tabulated at once: the (rows x points) boolean labels
-# stay near 256 kB at any n; no p-value depends on it
-_PERM_BLOCK_ENTRIES = 1 << 18
-# labels shuffled at once: each (rows x points) float64 draw stays near
-# 64 kB up to n = 8192 and is one row above it (256 kB draws ran faster but
-# raised the peak RSS by ~0.4 MB); no p-value depends on it
-_PERM_DRAW_ENTRIES = 1 << 13
+# labels drawn and tabulated at once: each thread's (rows x points) float64
+# draw, boolean labels and gathered NN labels take at most 160 kB up to
+# n = 2^14 and are one row above it (2^15 raised the benchmark's peak RSS
+# by more than its spread, and 2^18 took 2.25 MB per thread); no p-value
+# depends on it
+_PERM_BLOCK_ENTRIES = 1 << 14
+# a run of at most this many labels (n_perm * n) stays serial: sharing costs
+# ~0.1-0.2 ms per call (thread start, GIL handoffs; 2 vCPUs), which shorter
+# runs did not win back; no p-value depends on it
+_PERM_SERIAL_LABELS = 1 << 18
 # stored tables scored at once, at most ~260 bytes of temporaries each
 # (version_I): on 99999 tables (n = 1000, 2-vCPU Xeon, numpy 2.4) version_I
 # took 15.6, 10.9, 13.6 and 14.8 ms with 2^10, 2^12, 2^14 and 2^16 (peaks
@@ -315,8 +318,9 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
 
     Each 64-permutation block is one job of ``geometry._shared``: it draws
     its labelings from its own generator and tabulates them into its own
-    rows of the tables, with buffers of its own, so that the tables do not
-    depend on which thread ran which block.
+    rows of the tables, one sub-block of ``_PERM_BLOCK_ENTRIES // n`` rows
+    at a time, with buffers of its own, so that the tables do not depend on
+    which thread ran which block.
     """
     from .montecarlo import _STREAM_PERM, _streams  # montecarlo imports this module
 
@@ -330,28 +334,22 @@ def _permutation_run(coords: bytes, flags: bytes, n_perm: int, seed: int):
     observed = tabulate_pairs(flags, nn)
     class1 = flags.astype(float)
     rows = max(1, _PERM_BLOCK_ENTRIES // n)
-    draw_rows = max(1, _PERM_DRAW_ENTRIES // n)
     blocks = -(-n_perm // _PERM_BLOCK)
-    # sharing costs ~0.1-0.2 ms per call (thread start, GIL handoffs; 2 vCPUs):
-    # it lost where a block is one permuted call, and on runs of up to about
-    # 2*10^5 labels (n_perm * n), so a run of one tabulation batch stays serial
-    serial = draw_rows >= _PERM_BLOCK or n_perm <= rows
-    cpus = 1 if serial else min(geometry._search_cpus(), blocks)
+    cpus = 1 if n_perm * n <= _PERM_SERIAL_LABELS else min(geometry._search_cpus(), blocks)
     tables = np.empty((n_perm, 2, 2), dtype=np.int32)
 
     def block(job):
         """Draw the permutations of the block starting at ``lo`` from its
-        generator and tabulate them into their rows of ``tables``."""
+        generator and tabulate them into their rows of ``tables``, ``rows``
+        at a time."""
         lo, rng = job
         stop = min(lo + _PERM_BLOCK, n_perm)
-        labels = np.empty((min(rows, stop - lo), n), dtype=bool)
-        drawn = np.empty((min(draw_rows, stop - lo), n))
+        drawn = np.empty((min(rows, stop - lo), n))
+        labels = np.empty(drawn.shape, dtype=bool)
         for start in range(lo, stop, rows):
-            part = labels[:min(rows, stop - start)]
-            for d in range(0, len(part), draw_rows):
-                out = drawn[:min(draw_rows, len(part) - d)]
-                rng.permuted(np.broadcast_to(class1, out.shape), axis=1, out=out)
-                np.equal(out, 1, out=part[d:d + len(out)])
+            out = drawn[:min(rows, stop - start)]
+            rng.permuted(np.broadcast_to(class1, out.shape), axis=1, out=out)
+            part = np.equal(out, 1, out=labels[:len(out)])
             tables[start:start + len(part)] = tabulate_pairs(part, nn)
 
     streams = _streams((seed, _STREAM_PERM), 0, blocks)
@@ -382,19 +380,16 @@ def permutation_pvalue(
     Reproducible: permutations 64b .. 64b + 63 are the successive
     ``permutation`` draws of ``default_rng([seed, 4, b])``.  They are taken
     with ``Generator.permuted(axis=1)`` on float64 class-1 indicators, in
-    sub-blocks of ``max(1, _PERM_DRAW_ENTRIES // n)`` rows from the same
-    generator, and tabulated as booleans ``max(1, _PERM_BLOCK_ENTRIES // n)``
-    rows at a time.  numpy shuffles 8-byte items on its fastest path and
-    draws the same permutations at every item size, so neither the item
-    type nor the sub-blocks change a p-value.
+    sub-blocks of ``max(1, _PERM_BLOCK_ENTRIES // n)`` rows from the same
+    generator, each tabulated as booleans once drawn.  numpy shuffles 8-byte
+    items on its fastest path and draws the same permutations at every item
+    size, so neither the item type nor the sub-blocks change a p-value.
 
-    A run over more than 128 points (where a block takes several
-    ``permuted`` calls) and of more than one tabulation batch
-    (``n_perm > _PERM_BLOCK_ENTRIES // n``) is shared: the calling thread
-    and ``_search_cpus() - 1`` helper threads (numpy's shuffle releases the
-    GIL) each draw and tabulate whole blocks into the blocks' own rows of
-    the stored tables.  So no p-value depends on the thread count, and each
-    thread holds one tabulation batch and one draw sub-block at a time.
+    A run of more than ``_PERM_SERIAL_LABELS`` labels (``n_perm * n``) is
+    shared: the calling thread and ``_search_cpus() - 1`` helper threads
+    (numpy's shuffle releases the GIL) each draw and tabulate whole blocks
+    into the blocks' own rows of the stored tables.  So no p-value depends
+    on the thread count, and each thread holds one sub-block at a time.
 
     The permuted tables do not depend on the flavor, so the last run is
     kept: another flavor on the same coordinates, labels, ``n_perm`` and

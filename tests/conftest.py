@@ -19,13 +19,22 @@ ARTI_Q_ADJ, ARTI_R_ADJ = 63.37, 62.17
 
 def pytest_report_header(config):
     """The stack a golden digest depends on, so that a digest that differs
-    on one test row can be traced to its versions from the log alone."""
+    on one test row can be traced to its versions and numpy's SIMD levels
+    from the log alone."""
     import scipy
 
     from nnct import geometry
 
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    dispatched = [name for name in umath.__cpu_dispatch__ if features.get(name)]
     return (f"nnct stack: numpy {np.__version__}, scipy {scipy.__version__}, "
-            f"search cpus {geometry._search_cpus()}")
+            f"search cpus {geometry._search_cpus()}, "
+            f"simd baseline {' '.join(umath.__cpu_baseline__) or 'none'}, "
+            f"dispatched {' '.join(dispatched) or 'none'}")
 
 
 @pytest.fixture(autouse=True)

@@ -16,8 +16,9 @@ from nnct.cli import main
 def reference_ingest(path, has_header=True, delimiter=",", classes=None):
     """One ``csv.reader`` record at a time: strip, ``float()``, map the label.
 
-    The blockwise reader must match it byte for byte, error for error; a
-    ``csv.Error`` becomes a ``ParseError`` naming the record it arose in.
+    The blockwise reader must match it byte for byte, error for error.  An
+    error names the line its record starts on, counting the lines that
+    quoted fields span; a ``csv.Error`` becomes a ``ParseError``.
     """
     mapping = {}
     if classes is not None:
@@ -25,9 +26,10 @@ def reference_ingest(path, has_header=True, delimiter=",", classes=None):
     xs, ys, labels = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        lineno = 0
+        end = 0  # the last line of the records read so far
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if has_header and lineno == 1:
                     continue
                 if not row or all(not cell.strip() for cell in row):
@@ -54,7 +56,7 @@ def reference_ingest(path, has_header=True, delimiter=",", classes=None):
                 ys.append(y)
                 labels.append(mapping[lab])
         except csv.Error as e:
-            raise ParseError(f"{path}: line {lineno + 1}: {e}")
+            raise ParseError(f"{path}: line {end + 1}: {e}")
     if not labels:
         raise ParseError(f"{path}: no data rows")
     if len(set(labels)) < 2:
@@ -246,8 +248,9 @@ class TestBlockBoundaries:
         rows[12] = '12,"0        \n",a'  # one record over two lines
         rows[15] = "15,0"
         path = write_bytes(tmp_path, ("x,y,l\n" + "\n".join(rows) + "\n").encode())
+        # row 15 is the file's 17th record, on line 18
         for chars in (1, 16, 64, 1 << 16):
-            assert self.both(path, chars) == (ParseError, "line 17: expected 3 columns, got 2")
+            assert self.both(path, chars) == (ParseError, "line 18: expected 3 columns, got 2")
         old_limit = csv.field_size_limit(8)
         try:
             for chars in (16, 64):
@@ -256,6 +259,21 @@ class TestBlockBoundaries:
                 )
         finally:
             csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_errors_after_a_field_over_two_lines_name_their_line(self, tmp_path, ending):
+        # the label "a<line break>b" takes lines 2 and 3
+        head = ending.join(["x,y,label", '0,0,"a', 'b"', "1,0,c", ""])
+        limit = csv.field_size_limit()
+        path = str(tmp_path / "pts.csv")
+        for bad, error in [
+            ("2,x,c", "line 5: cannot parse coordinates '2', 'x'"),
+            ("2,x", "line 5: expected 3 columns, got 2"),
+            ("2,0," + "c" * (limit + 1), f"{path}: line 5: field larger than field limit ({limit})"),
+        ]:
+            write_bytes(tmp_path, (head + bad + ending).encode())
+            for chars in (1, 16, 1 << 16):
+                assert self.both(path, chars) == (ParseError, error)
 
     @pytest.mark.parametrize("delimiter", ["§", "\u2192", ";"])
     def test_non_ascii_delimiter_and_labels(self, tmp_path, delimiter):

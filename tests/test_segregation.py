@@ -633,18 +633,19 @@ class TestPermutation:
         with pytest.raises(DegenerateTestError):
             permutation_pvalue(LabeledPointSet(pts.points, labels), "version_I", 99, 1)
 
-    # with n = 40: one row per sub-block, 7-row sub-blocks, the whole run at
-    # once, for the labels tabulated at once and for the labels drawn at
-    # once; one table, 7 tables and all of them for the tables scored at once
+    # with n = 40: one row per sub-block, 7-row sub-blocks and the whole
+    # block at once, for the labels drawn and tabulated at once, each on the
+    # serial and the shared path; one table, 7 tables and all of them for the
+    # tables scored at once
     @pytest.mark.parametrize("entries", [40, 7 * 40, 1 << 30])
     @pytest.mark.parametrize("flavor", ["dixon_overall", "version_I", "cell_Z_12"])
     def test_pvalue_does_not_depend_on_the_block_entries(self, monkeypatch, entries, flavor):
         pts = random_point_set(np.random.default_rng(61), 40, n1=16)
         expected = cold_pvalue(pts, flavor, 999, 9)
         monkeypatch.setattr(segregation, "_PERM_BLOCK_ENTRIES", entries)
-        for draw in (40, 7 * 40, 1 << 30):
-            monkeypatch.setattr(segregation, "_PERM_DRAW_ENTRIES", draw)
-            assert cold_pvalue(pts, flavor, 999, 9) == expected, draw
+        for serial_labels in (0, 1 << 62):
+            monkeypatch.setattr(segregation, "_PERM_SERIAL_LABELS", serial_labels)
+            assert cold_pvalue(pts, flavor, 999, 9) == expected, serial_labels
         for tables in (1, 7, 1 << 30):
             monkeypatch.setattr(segregation, "_PERM_SCORE_TABLES", tables)
             assert permutation_pvalue(pts, flavor, 999, 9) == expected, tables
@@ -665,9 +666,9 @@ class TestPermutation:
         cold = [cold_pvalue(pts, flavor, 999, 17) for flavor in flavors]
         assert warm == cold == [k / 1000 for k in golden]
 
-    # n = 129: the first size whose blocks are shared, from 2033 permutations
-    # (one tabulation batch more); 1000: from 263; 5000: from 53, and each
-    # block is tabulated in parts of 52 rows.  130 ends in a 2-permutation block
+    # runs of more than 2^18 labels are shared: at n = 129 from 2033
+    # permutations, 1000 from 263 and 5000 from 53, where each block is
+    # drawn in parts of 3 rows.  130 ends in a 2-permutation block
     @pytest.mark.parametrize("n, counts", [(129, (99, 130, 999, 1000, 2500)),
                                            (1000, (99, 130, 999, 1000)),
                                            (5000, (99, 130, 999, 1000))])
@@ -696,9 +697,10 @@ class TestPermutation:
             four_cpus.clear()
             return started
 
-        # up to 128 points a block is one permuted call
-        assert run(128, 2500) == 0
-        # 2032 permutations of 129 labels fill one tabulation batch of 2^18
+        # runs of up to 2^18 labels stay serial: 2048 permutations of 128
+        # points, 2032 of 129
+        assert run(128, 2048) == 0
+        assert run(128, 2049) == 3
         assert run(129, 2032) == 0
         assert run(129, 2033) == 3
         # 130 permutations are 3 blocks: a helper for each but the caller's
@@ -719,26 +721,29 @@ class TestPermutation:
         assert cpus == 1 and child == threaded
 
     def test_a_shared_run_holds_one_batch_per_thread(self, monkeypatch, four_cpus):
-        # at n = 20000 a thread tabulates 13 labelings at a time: 260 kB of
-        # labels, as many gathered NN labels and one 160 kB draw row, so each
-        # helper adds under 1 MiB to the peak (a 64-row block of labels alone
-        # takes 1.28 MB)
+        # a thread draws and tabulates 2^14 // n labelings at a time: at
+        # n = 1000, 16 of them, a 128 kB draw, 16 kB of labels and as many
+        # gathered NN labels; at n = 20000 one, a 160 kB draw and 20 kB of
+        # each.  So each helper adds under 1 MiB to the peak (a 64-row block
+        # of labels alone takes 1.28 MB at n = 20000)
         import tracemalloc
 
-        pts = random_point_set(np.random.default_rng(83), 20000, n1=8000)
-        geometry._nn_indices(pts.points)  # scipy's first search allocates for good
-        peaks = {}
-        for cpus in (1, 4):
-            monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
-            four_cpus.clear()
-            tracemalloc.start()
-            try:
-                cold_pvalue(pts, "version_I", 999, 3)
-                peaks[cpus] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert len(four_cpus) == 6  # 3 for the search's first round, 3 for the draw
-        assert peaks[4] <= peaks[1] + 3 * 2**20
+        # 3 helpers draw, and at n = 20000 3 more share the search's first round
+        for n, helpers in ((1000, 3), (20000, 6)):
+            pts = random_point_set(np.random.default_rng(83), n, n1=2 * n // 5)
+            geometry._nn_indices(pts.points)  # scipy's first search allocates for good
+            peaks = {}
+            for cpus in (1, 4):
+                monkeypatch.setattr(geometry, "_search_cpus", lambda: cpus)
+                four_cpus.clear()
+                tracemalloc.start()
+                try:
+                    cold_pvalue(pts, "version_I", 999, 3)
+                    peaks[cpus] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(four_cpus) == helpers, n
+            assert peaks[4] <= peaks[1] + 3 * 2**20, n
 
     def test_the_stored_run_is_whole_tables_and_read_only(self):
         pts = random_point_set(np.random.default_rng(89), 40, n1=16)
