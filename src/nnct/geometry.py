@@ -33,19 +33,25 @@ import numpy as np
 from .errors import InvalidInputError, check_integral, check_real_array
 
 # Measured cutover on random points (2-vCPU Xeon, numpy 2.4, scipy 1.17,
-# one BLAS thread): per set, brute force (matmul differences) in 40-set
-# stacks vs the kd-tree search, medians of 21 rounds of alternating order
-# in each of 3 processes: 180-188 vs 196-216 us at n = 256 (brute force
-# faster in 54 of 63 rounds), 166-182 vs 211-220 us at n = 272 (56 of 63),
-# 241-347 vs 223-332 us at n = 280 (10 of 63) and 331-354 vs 240-269 us
-# at n = 320 (2 of 63).
-_BRUTE_FORCE_MAX = 272
-# (sets x n x n) squared distances per block of the brute-force search:
-# 2^14 (128 kB temporaries) beat 2^13 at n = 10-100; 2^15 was 35-65%
-# slower at n = 20 and 100 and 4-12% faster at n = 10 and 50, 2^16 30-120%
-# slower at n = 20-100 (stacks of 2048 // n sets, as the Monte Carlo engine
-# makes them, medians of 21 rounds of rotating order in each of 3 processes)
-_BRUTE_BLOCK_ENTRIES = 1 << 14
+# one BLAS thread): per set, brute force (one reused work buffer) in 40-set
+# stacks vs the kd-tree search, medians of 15 rounds of alternating order in
+# each of 3 processes, one pinned CPU: 221-352 vs 312-500 us at n = 320
+# (brute force faster in 45 of 45 rounds), 283-307 vs 347-499 us at n = 336
+# (43 of 45), 288-346 vs 353-498 us at n = 352 (38 of 45) and 367-386 vs
+# 353-423 us at n = 368 (21 of 45).  336 is the largest size that won at
+# least 14 of 15 rounds in every process.
+_BRUTE_FORCE_MAX = 336
+# (sets x n x n) squared distances per block of the brute-force search, in
+# one reused (2, sets, n, n) work buffer (512 kB at 2^15).  Per set, on
+# stacks of 2048 // n sets as the Monte Carlo engine makes them, one pinned
+# CPU, medians of 25 rounds of rotating order in each of 3 processes: 2^15
+# took 3-4% less than 2^14 at n = 20, 8-9% at n = 50, 13-18% at n = 80 and
+# 18-21% at n = 100.  2^16 took 0-7% less than 2^15 (up to 1% more at
+# n = 80) with twice the buffer, and a paper-combo size study could not tell
+# the two apart.  Above n = 181 all three give one set per block.  The
+# 35-65% loss once read at 2^15 (n = 20 and 100) came from a fresh
+# allocation in every block.
+_BRUTE_BLOCK_ENTRIES = 1 << 15
 # first candidate count of the site search: the 8th candidate lies beyond the
 # tied ring of a square (4) or hexagonal (6) lattice, so grids resolve at once
 _SITE_K0 = 8
@@ -135,8 +141,10 @@ def _nn_brute(coords: np.ndarray) -> np.ndarray:
     of an ``(..., n, 2)`` stack; ties resolve to the lowest index.
 
     Squared distances are ``dx*dx + dy*dy``.  The sets go through in blocks
-    whose ``(sets, n, n)`` temporaries hold about ``_BRUTE_BLOCK_ENTRIES``
-    entries.
+    of about ``_BRUTE_BLOCK_ENTRIES`` ``(sets, n, n)`` entries.  The
+    operands are built once for the whole stack and one ``(2, sets, n, n)``
+    work buffer is made once per call; every block writes dx, then dy, into
+    its leading sets, so the loop allocates nothing.
 
     Each coordinate's differences ``c_i - c_j`` come from one batched
     ``np.matmul`` per block, of the rows ``(c_i, 1)`` by the columns
@@ -146,7 +154,7 @@ def _nn_brute(coords: np.ndarray) -> np.ndarray:
     rounding is that of the two-term sum, fl(c_i - c_j), in either order,
     with or without FMA.  Flush-to-zero could only change a difference
     below ~2e-292, which squares to 0 either way, and a zero's sign is
-    squared away.  The rows are a transposed view of ``(sets, 3, n)``
+    squared away.  The rows are a transposed view of ``(2, sets, 3, n)``
     storage ``(c, 1, -c)`` whose last two rows are the columns, so no
     operand is copied.  The layout is chosen for speed only: with numpy 2.4
     a 3000-point product maps OpenBLAS's work buffer in this layout, in a
@@ -155,23 +163,26 @@ def _nn_brute(coords: np.ndarray) -> np.ndarray:
     """
     n = coords.shape[-2]
     flat = coords.reshape(-1, n, 2)
-    nn = np.empty(flat.shape[:2], dtype=np.intp)
-    step = max(1, _BRUTE_BLOCK_ENTRIES // (n * n))
-    for start in range(0, flat.shape[0], step):
-        block = flat[start:start + step]
-        terms = np.empty((2, block.shape[0], 3, n))  # x, then y
-        terms[:, :, 0] = block.transpose(2, 0, 1)
-        terms[:, :, 1] = 1
-        np.negative(terms[:, :, 0], out=terms[:, :, 2])
-        rows, cols = terms[:, :, :2].swapaxes(-1, -2), terms[:, :, 1:]
-        d2 = np.matmul(rows[0], cols[0])
+    sets = flat.shape[0]
+    nn = np.empty((sets, n), dtype=np.intp)
+    terms = np.empty((2, sets, 3, n))  # x, then y
+    terms[:, :, 0] = flat.transpose(2, 0, 1)
+    terms[:, :, 1] = 1
+    np.negative(terms[:, :, 0], out=terms[:, :, 2])
+    rows, cols = terms[:, :, :2].swapaxes(-1, -2), terms[:, :, 1:]
+    step = max(1, min(sets, _BRUTE_BLOCK_ENTRIES // (n * n)))
+    work = np.empty((2, step, n, n))
+    for start in range(0, sets, step):
+        stop = min(start + step, sets)
+        d2, dy = work[:, :stop - start]  # the last block may be shorter
+        np.matmul(rows[0, start:stop], cols[0, start:stop], out=d2)
         d2 *= d2
-        dy = np.matmul(rows[1], cols[1])
+        np.matmul(rows[1, start:stop], cols[1, start:stop], out=dy)
         dy *= dy
         d2 += dy
         d2.reshape(-1, n * n)[:, ::n + 1] = np.inf  # no point is its own NN
         # argmin returns the first minimum, i.e. the lowest index on ties
-        d2.argmin(axis=-1, out=nn[start:start + step])
+        d2.argmin(axis=-1, out=nn[start:stop])
     return nn.reshape(coords.shape[:-1])
 
 

@@ -782,6 +782,18 @@ class TestStackedSearch:
         assert nn.shape == stack.shape[:-1]
         assert np.array_equal(nn, np.stack([_nn_kdtree(c) for c in stack]))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(point_stacks(), rounding_stacks()))
+    def test_block_size_does_not_change_the_indices(self, stack):
+        # one set per block, blocks of 3 sets (a 4-set stack ends on a short
+        # block in the work buffer's leading rows) and one block for all
+        n = stack.shape[-2]
+        expected = np.stack([_nn_brute(c) for c in stack])
+        for entries in (n * n, 3 * n * n, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "_BRUTE_BLOCK_ENTRIES", entries)
+                assert np.array_equal(_nn_brute(stack), expected), entries
+
     @settings(max_examples=60, deadline=None)
     @given(point_stacks())
     def test_stacked_q_r_matches_each_set(self, stack):
